@@ -21,8 +21,6 @@ import numpy as np
 
 from .rng import RngStream
 
-DROPOUT_KINDS = ("bernoulli", "gaussian")
-
 
 class ShapeError(ValueError):
     pass
@@ -45,7 +43,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite values in tensor of shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -247,12 +245,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -548,15 +543,6 @@ def sum_all(x: Tensor) -> Tensor:
         _accum(x, np.full_like(x.data, float(g)))
 
     return _make(np.asarray(x.data.sum()), (x,), backward_fn)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def backward_fn(g):
-        _accum(x, np.full_like(x.data, float(g) / n))
-
-    return _make(np.asarray(x.data.mean()), (x,), backward_fn)
 
 
 def reverse_grad(x: Tensor, gamma: float) -> Tensor:

@@ -14,8 +14,8 @@ import sys
 
 from .config import (RunConfig, apply_overrides, config_from_dict, load_config,
                      save_config)
-from .data import DEFAULT_FEATURE_DIM, DEFAULT_NOISE, load_dataset, save_dataset, \
-    synth_generate
+from .data import DEFAULT_FEATURE_DIM, DEFAULT_NOISE, EOS, load_dataset, \
+    save_dataset, synth_generate
 from .nn import load_checkpoint, restore_params
 from .rng import RngStream
 from .train import (TrainingDiverged, build_model, evaluate_model, split_indices,
@@ -146,7 +146,7 @@ def cmd_sample(args) -> int:
         for rec in records:
             fh.write(json.dumps({
                 "id": rec["id"],
-                "samples": [[vocab.token(t) for t in s if t != 2]
+                "samples": [[vocab.token(t) for t in s if t != EOS]
                             for s in rec["samples"]],
                 "token_ids": rec["samples"],
                 "epistemic": rec["epistemic"],

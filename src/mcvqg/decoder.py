@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import BOS, EOS, PAD
-from .nn import BayesianLSTMCell, EmbeddingTable, init_bias, init_matrix
+from .nn import (BayesianLSTMCell, EmbeddingTable, init_bias, init_matrix,
+                 mc_statistics)
 from .rng import RngStream
 
 
@@ -234,129 +235,120 @@ class QuestionSample:
     predictive_uncertainty: float = 0.0
 
 
-def _mc_variance(values):
-    """Unbiased variance of a list of floats; exactly 0 for identical values."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    base = values[0]
-    mean = base + sum(v - base for v in values) / n
-    return sum((v - mean) ** 2 for v in values) / (n - 1)
+@dataclass
+class _Committee:
+    """One committee's free-running decode: the fed-back tokens, and per
+    step the (rows, V) logits and predicted variances of its rows."""
+    tokens: list
+    logits: list
+    variances: list
+
+
+def _start(dec: Decoder, g_enc: Tensor, masks):
+    """The (h, c) state after step -1 has consumed the encoding."""
+    h, c = dec.cell.initial_state(g_enc.data.shape[0])
+    return dec.cell.step(dec.project_encoding(g_enc), h, c, masks)
+
+
+def _decode_committees(dec: Decoder, state, masks, size: int,
+                       max_len: int) -> list:
+    """Free-running decode of the batch as contiguous committees of `size`
+    rows. Every step each committee feeds all its rows the argmax of their
+    mean logits (ties resolve to the lowest token id) and finishes at its
+    own EOS or after max_len tokens; rows of finished committees keep
+    stepping until the last one finishes, and their outputs are dropped."""
+    h, c = state
+    count = h.data.shape[0] // size
+    committees = [_Committee([], [], []) for _ in range(count)]
+    running = list(range(count))
+    tokens = np.full(count, BOS, dtype=np.int64)
+    for _ in range(max_len):
+        x = dec.embedding.lookup(np.repeat(tokens, size))
+        h, c = dec.cell.step(x, h, c, masks)
+        y, v = dec.heads(h)
+        logits = y.data.reshape(count, size, -1)
+        variances = v.data.reshape(count, size, -1)
+        tokens = np.argmax(logits.sum(axis=1) / size, axis=1)
+        for k in running:
+            com = committees[k]
+            com.tokens.append(int(tokens[k]))
+            com.logits.append(logits[k])
+            com.variances.append(variances[k])
+        running = [k for k in running if tokens[k] != EOS]
+        if not running:
+            break
+    return committees
+
+
+def _question(com: _Committee) -> QuestionSample:
+    """A committee of one row as a decoded question."""
+    logits = [y[0] for y in com.logits]
+    variances = [v[0] for v in com.variances]
+    chosen_var = float(np.mean([v[t] for v, t in zip(variances, com.tokens)]))
+    return QuestionSample(tokens=com.tokens, logits=logits, variances=variances,
+                          predictive_uncertainty=chosen_var)
 
 
 def generate_greedy(dec: Decoder, g_enc: Tensor, max_len: int = 16,
                     rng: RngStream = None, stochastic: bool = False,
                     masks=None) -> QuestionSample:
     """Argmax decoding (ties resolve to the lowest token id) until EOS or
-    max_len tokens. Stochastic mode draws one mask set for the whole
-    sequence."""
+    max_len tokens: the free-running decode of a committee of one.
+    Stochastic mode draws one mask set for the whole sequence."""
     with ad.no_grad():
         batch = g_enc.data.shape[0]
         if batch != 1:
             raise ad.ShapeError(f"generate_greedy decodes one example, got batch {batch}")
         if masks is None:
             masks = dec.cell.sample_masks(1, rng.child("cell") if rng else None, stochastic)
-        h, c = dec.cell.initial_state(1)
-        h, c = dec.cell.step(dec.project_encoding(g_enc), h, c, masks)
-        token = BOS
-        tokens, all_logits, all_vars = [], [], []
-        for _ in range(max_len):
-            x = dec.embedding.lookup(np.array([token]))
-            h, c = dec.cell.step(x, h, c, masks)
-            y, v = dec.heads(h)
-            all_logits.append(y.data[0].copy())
-            all_vars.append(v.data[0].copy())
-            token = int(np.argmax(y.data[0]))
-            tokens.append(token)
-            if token == EOS:
-                break
-        chosen_var = float(np.mean([v[t] for v, t in zip(all_vars, tokens)]))
-        return QuestionSample(tokens=tokens, logits=all_logits, variances=all_vars,
-                              predictive_uncertainty=chosen_var)
+        com, = _decode_committees(dec, _start(dec, g_enc, masks), masks, 1, max_len)
+        return _question(com)
 
 
 def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,
                 rng: RngStream = None):
-    """T free-running stochastic decodes plus a committee pass.
+    """T free-running stochastic decodes plus a committee pass, all run as
+    the T rows of one batch.
 
-    enc_producer(rng) -> (1, enc_dim) encoding tensor for one mask draw.
-    Sample t uses stream rng.child(t) end to end. The committee pass keeps
-    the T decoders in lockstep — each step's token is the argmax of the
-    committee-mean logits — so the per-step Monte-Carlo logit sets stay
+    enc_producer(rows) -> (T, enc_dim) encoding, row t for sample t, where
+    rows = rng.rows(T).child("enc") draws row t from rng.child(t).child("enc")
+    (typically the model encoding one example stacked T times). The decoder
+    masks of row t come from rng.child(t).child("dec"), so sample t sees the
+    masks a batch-1 decode on stream rng.child(t) would; its floats can
+    differ from such a decode in the last bits. The samples decode as T
+    committees of one. The committee pass restarts from the same step -1
+    state as one committee of T, whose token each step is the argmax of the
+    committee-mean logits, so the per-step Monte-Carlo logit sets stay
     aligned: epistemic = mean over steps of the MC variance of the chosen
     token's logit, aleatoric = mean over steps of the MC-mean predicted
     variance at that token, predictive = epistemic + aleatoric.
 
     Returns (samples, first_step_stats, uncertainty dict).
     """
-    from .nn import McStatistics  # local import avoids a cycle at module load
-
     if T < 1:
         raise ValueError(f"generate_mc needs T >= 1, got {T}")
     with ad.no_grad():
-        samples = []
-        draws = []
-        for t in range(T):
-            r = rng.child(t)
-            g_enc = enc_producer(r.child("enc"))
-            masks = dec.cell.sample_masks(1, r.child("dec"), stochastic=True)
-            samples.append(generate_greedy(dec, g_enc, max_len, masks=masks))
-            draws.append((g_enc, masks))
+        rows = rng.rows(T)
+        g_enc = enc_producer(rows.child("enc"))
+        if g_enc.data.shape[0] != T:
+            raise ad.ShapeError(f"generate_mc: encoding {g_enc.data.shape} needs "
+                                f"one row per sample (T={T})")
+        masks = dec.cell.sample_masks(T, rows.child("dec"), stochastic=True)
+        state = _start(dec, g_enc, masks)
+        samples = [_question(com) for com in
+                   _decode_committees(dec, state, masks, 1, max_len)]
+        first_step_stats = mc_statistics(np.stack([s.logits[0] for s in samples]))
 
-        # unbiased per-coordinate stats over the aligned first-step logits
-        first_logits = [s.logits[0] for s in samples]
-        base = first_logits[0]
-        shift = np.zeros_like(base)
-        for s in first_logits:
-            shift += s - base
-        mean = base + shift / T
-        if T == 1:
-            var = np.zeros_like(base)
-        else:
-            var = np.zeros_like(base)
-            for s in first_logits:
-                d = s - mean
-                var += d * d
-            var /= (T - 1)
-        first_step_stats = McStatistics(count=T, mean=mean, variance=var,
-                                        degenerate=(T == 1))
-
-        # committee decode: one shared token stream, T parallel states
-        states = []
-        for g_enc, masks in draws:
-            h, c = dec.cell.initial_state(1)
-            h, c = dec.cell.step(dec.project_encoding(g_enc), h, c, masks)
-            states.append((h, c, masks))
-        token = BOS
-        epi_terms, alea_terms = [], []
-        committee_tokens = []
-        for _ in range(max_len):
-            x = dec.embedding.lookup(np.array([token]))
-            step_logits, step_vars = [], []
-            next_states = []
-            for h, c, masks in states:
-                h, c = dec.cell.step(x, h, c, masks)
-                y, v = dec.heads(h)
-                step_logits.append(y.data[0])
-                step_vars.append(v.data[0])
-                next_states.append((h, c, masks))
-            states = next_states
-            base = step_logits[0].copy()
-            for s in step_logits[1:]:
-                base += s
-            mean_logits = base / T
-            token = int(np.argmax(mean_logits))
-            committee_tokens.append(token)
-            epi_terms.append(_mc_variance([s[token] for s in step_logits]))
-            alea_terms.append(float(np.mean([v[token] for v in step_vars])))
-            if token == EOS:
-                break
-        epistemic = float(np.mean(epi_terms))
-        aleatoric = float(np.mean(alea_terms))
+        committee, = _decode_committees(dec, state, masks, T, max_len)
+        tokens = committee.tokens
+        chosen = np.stack([y[:, t] for y, t in zip(committee.logits, tokens)], axis=1)
+        epistemic = float(np.mean(mc_statistics(chosen).variance))
+        aleatoric = float(np.mean([np.mean(v[:, t])
+                                   for v, t in zip(committee.variances, tokens)]))
         uncertainty = {
             "epistemic": epistemic,
             "aleatoric": aleatoric,
             "predictive": epistemic + aleatoric,
-            "committee_tokens": committee_tokens,
+            "committee_tokens": tokens,
         }
         return samples, first_step_stats, uncertainty

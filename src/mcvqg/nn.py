@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .autodiff import reverse_grad as gradient_reversal  # noqa: F401  (re-export)
 from .rng import RngStream
 
 
@@ -194,38 +193,48 @@ class McStatistics:
     mean: np.ndarray
     variance: np.ndarray
     degenerate: bool            # True when count == 1 (variance forced to 0)
-    samples: list | None = None
+    samples: np.ndarray | None = None   # (T, ...) stack, sample t at index t
+
+
+def mc_statistics(samples: np.ndarray, keep_samples: bool = False) -> McStatistics:
+    """Mean and unbiased variance over axis 0 of a (T, ...) sample stack.
+
+    The mean is accumulated relative to the first sample, so T identical
+    samples give that sample back and an exactly-zero variance.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    count = samples.shape[0]
+    base = samples[0]
+    mean = base + (samples - base).sum(axis=0) / count
+    if count == 1:
+        variance = np.zeros_like(base)
+    else:
+        d = samples - mean
+        variance = (d * d).sum(axis=0) / (count - 1)
+    return McStatistics(count=count, mean=mean, variance=variance,
+                        degenerate=(count == 1),
+                        samples=samples if keep_samples else None)
 
 
 def mc_predict(f, T: int, rng: RngStream, keep_samples: bool = False) -> McStatistics:
-    """Run stochastic `f` T times on sibling streams and summarize.
+    """Run stochastic `f` once for all T samples and summarize.
 
-    Sample t always sees stream rng.child(t), so the result does not depend
-    on evaluation order. The mean is accumulated relative to the first
-    sample, which makes T identical samples yield an exactly-zero variance.
+    f(rows) gets rows = rng.rows(T) and returns the T samples concatenated
+    along axis 0, typically by running on T stacked copies of its input:
+    every draw from `rows` gives sample t's block of rows what rng.child(t)
+    alone would draw, so sample t sees the same masks whatever T is and in
+    whatever order the samples are taken. Floats can differ from T separate
+    runs in the last bits, because a batched matrix product may sum in
+    another order.
     """
     if T < 1:
         raise ValueError(f"mc_predict needs T >= 1, got {T}")
-    samples = []
-    for t in range(T):
-        out = f(rng.child(t))
-        data = out.data if isinstance(out, Tensor) else np.asarray(out, dtype=np.float64)
-        samples.append(np.array(data, dtype=np.float64))
-    base = samples[0]
-    shift = np.zeros_like(base)
-    for s in samples:
-        shift += s - base
-    mean = base + shift / T
-    if T == 1:
-        variance = np.zeros_like(base)
-    else:
-        variance = np.zeros_like(base)
-        for s in samples:
-            d = s - mean
-            variance += d * d
-        variance /= (T - 1)
-    return McStatistics(count=T, mean=mean, variance=variance,
-                        degenerate=(T == 1), samples=samples if keep_samples else None)
+    out = f(rng.rows(T))
+    data = out.data if isinstance(out, Tensor) else np.asarray(out, dtype=np.float64)
+    if data.ndim == 0 or data.shape[0] % T:
+        raise ad.ShapeError(f"mc_predict: leading extent of {data.shape} is not "
+                            f"a multiple of T={T}")
+    return mc_statistics(data.reshape((T, -1) + data.shape[1:]), keep_samples)
 
 
 # ---------------------------------------------------------------------------

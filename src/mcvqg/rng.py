@@ -44,6 +44,16 @@ class RngStream:
         mixed = _splitmix64(self.stream ^ _splitmix64(_tag_to_int(tag)))
         return RngStream(self.seed, mixed)
 
+    def rows(self, count: int) -> "RowStreams":
+        """The streams child(0) .. child(count - 1) drawn as one batch.
+
+        Sample t of a Monte-Carlo batch owns block t of the rows, and every
+        draw gives that block exactly what child(t) draws alone.
+        """
+        if count < 1:
+            raise ValueError(f"rows needs count >= 1, got {count}")
+        return RowStreams([self.child(t) for t in range(count)])
+
     def state(self):
         return (self.seed, self.stream, self.counter)
 
@@ -73,3 +83,45 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream}, counter={self.counter})"
+
+
+class RowStreams(RngStream):
+    """T sibling streams stacked along the batch axis.
+
+    A draw whose leading extent is k * T splits into T contiguous blocks of k
+    rows, and block t equals, bit for bit, what stream t draws for a batch of
+    k alone: one row per Monte-Carlo sample when k = 1. `child` derives the
+    same tag on every stream, so a model run on T stacked copies of an input
+    sees each sample's masks exactly as T separate runs on stream t would.
+    Any other leading extent raises `ShapeError`.
+    """
+
+    __slots__ = ("streams",)
+
+    def __init__(self, streams):
+        self.streams = tuple(streams)
+
+    def child(self, tag) -> "RowStreams":
+        return RowStreams([s.child(tag) for s in self.streams])
+
+    def _stack(self, draw: str, shape):
+        shape = tuple(shape)
+        count = len(self.streams)
+        if not shape or shape[0] % count:
+            from .autodiff import ShapeError  # autodiff imports this module
+            raise ShapeError(f"row-stacked draw of shape {shape}: the leading "
+                             f"extent must be a multiple of {count} rows")
+        block = (shape[0] // count,) + shape[1:]
+        return np.concatenate([getattr(s, draw)(block) for s in self.streams])
+
+    def uniform(self, shape=()):
+        return self._stack("uniform", shape)
+
+    def normal(self, shape=()):
+        return self._stack("normal", shape)
+
+    def _generator(self):
+        raise TypeError("row-stacked streams draw only uniform and normal arrays")
+
+    def __repr__(self):
+        return f"RowStreams({len(self.streams)} rows, first={self.streams[0]!r})"

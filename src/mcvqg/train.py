@@ -313,7 +313,12 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
                    rng: RngStream = None):
     """Greedy generation over `indices` followed by corpus scoring against
     each example's full reference set. Returns (EvalReport, generation
-    records)."""
+    records).
+
+    Deterministic decisions decode each example alone. MC decisions encode
+    and decode each example once as the T rows of one batch, sample t on
+    stream rng.child(idx).child(t), so a record depends only on the model,
+    the example and the stream."""
     indices = list(indices)
     if not indices:
         raise ValueError("evaluation needs at least one example")
@@ -326,9 +331,8 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
     candidates, references, records = [], [], []
     for idx in indices:
         bundle = dataset.bundles[idx]
-        batch = make_batch(dataset, [idx])
         if mode == "deterministic":
-            enc = model.encode(batch, None, stochastic=False)
+            enc = model.encode(make_batch(dataset, [idx]), None, stochastic=False)
             sample = generate_greedy(model.decoder, enc.g_enc, cfg.max_len)
             tokens = sample.tokens
             record = {"id": bundle.id, "tokens": list(tokens),
@@ -337,8 +341,10 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
                       "aleatoric": sample.predictive_uncertainty,
                       "predictive": sample.predictive_uncertainty}
         else:
-            def producer(r, batch=batch):
-                return model.encode(batch, r, stochastic=True).g_enc
+            stacked = make_batch(dataset, [idx] * cfg.eval_mc_samples)
+
+            def producer(rows, batch=stacked):
+                return model.encode(batch, rows, stochastic=True).g_enc
             samples, _, unc = generate_mc(model.decoder, producer,
                                           T=cfg.eval_mc_samples,
                                           max_len=cfg.max_len,
@@ -373,7 +379,14 @@ class VarianceRecord:
 def variance_records(model: MultiCueModel, dataset: Dataset, indices, *,
                      T: int, rng: RngStream, sample_rate: float = None,
                      sample_kind: str = "bernoulli"):
-    """T stochastic encoding passes per example vs the deterministic pass.
+    """T stochastic encodings per example vs the deterministic encoding.
+
+    Each example is encoded as T stacked rows of one batch, sample t on
+    stream rng.child(("var", idx)).child(t). The deterministic reference is
+    encoded at the same T rows, because a batched product can round
+    differently from a batch-1 one: a dropout-free model then gives an MC
+    mean equal to the reference bit for bit and a normalized variance of
+    exactly 0.
 
     normalized variance = mean |MC mean - deterministic| / input feature scale,
     where the scale is the mean |value| of the example's image and place
@@ -390,7 +403,7 @@ def variance_records(model: MultiCueModel, dataset: Dataset, indices, *,
     records = []
     with override:
         for idx in indices:
-            batch = make_batch(dataset, [idx])
+            batch = make_batch(dataset, [idx] * T)
             det = model.encode(batch, None, stochastic=False).g_enc.data[0].copy()
             stats = mc_predict(
                 lambda r, batch=batch: model.encode(batch, r, stochastic=True).g_enc,

@@ -85,6 +85,23 @@ class TestForwardValues:
         sp = ad.softplus(x).data
         assert sp[0] == 0.0 and np.isclose(sp[1], 1e3)
 
+    def test_sigmoid_bitwise_equals_two_branch_formula(self):
+        def two_branch(x):
+            # reference: 1/(1+e^-x) on the x >= 0 mask, e^x/(1+e^x) off it
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        draw = RngStream(31)
+        cases = [np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0]),
+                 draw.child("row").normal((1, 32)) * 8,
+                 draw.child("batch").normal((16, 32)) * 8]
+        for x in cases:
+            assert ad._sigmoid(x).tobytes() == two_branch(x).tobytes()
+
     def test_log_domain(self):
         with pytest.raises(ValueError):
             ad.log(Tensor([1.0, 0.0]))

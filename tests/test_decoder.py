@@ -389,12 +389,70 @@ class TestGreedyGeneration:
             np.testing.assert_array_equal(ya, yb)
 
 
+def _close(a, b, rel=1e-12):
+    return np.max(np.abs(np.asarray(a) - b)) <= rel * np.max(np.abs(b))
+
+
+def _batch1_committee(dec, g, masks, max_len):
+    """Reference committee pass: T batch-1 decoders, one per row of g, in
+    lockstep on the argmax of their mean logits. Returns the tokens and,
+    averaged over steps, the MC variance of the chosen token's logit and
+    the MC-mean predicted variance at that token."""
+    states = []
+    for t, m in enumerate(masks):
+        h, c = dec.cell.initial_state(1)
+        states.append(dec.cell.step(dec.project_encoding(Tensor(g[t:t + 1])), h, c, m))
+    token, tokens, epi, alea = BOS, [], [], []
+    for _ in range(max_len):
+        x = dec.embedding.lookup(np.array([token]))
+        states = [dec.cell.step(x, h, c, m) for (h, c), m in zip(states, masks)]
+        heads = [dec.heads(h) for h, _ in states]
+        logits = np.concatenate([y.data for y, _ in heads])
+        token = int(np.argmax(logits.mean(axis=0)))
+        tokens.append(token)
+        epi.append(np.var(logits[:, token], ddof=1))
+        alea.append(np.mean([v.data[0, token] for _, v in heads]))
+        if token == EOS:
+            break
+    return tokens, np.mean(epi), np.mean(alea)
+
+
 class TestMcGeneration:
+    def test_rows_match_batch1_decodes_under_the_same_masks(self):
+        dec = _decoder(p=0.5)
+        T, max_len = 6, 6
+        g = RngStream(8).normal((T, ENC))
+        rng = RngStream(9)
+        samples, stats, unc = generate_mc(dec, lambda r: Tensor(g), T=T,
+                                          max_len=max_len, rng=rng)
+        masks = [dec.cell.sample_masks(1, rng.child(t).child("dec")) for t in range(T)]
+        refs = [generate_greedy(dec, Tensor(g[t:t + 1]), max_len, masks=m)
+                for t, m in enumerate(masks)]
+        assert len({tuple(r.tokens) for r in refs}) > 1
+        for s, ref in zip(samples, refs):
+            assert s.tokens == ref.tokens
+            assert all(_close(a, b) for a, b in zip(s.logits, ref.logits))
+            assert all(_close(a, b) for a, b in zip(s.variances, ref.variances))
+        first = np.stack([r.logits[0] for r in refs])
+        assert _close(stats.mean, first.mean(axis=0))
+        assert _close(stats.variance, first.var(axis=0, ddof=1))
+        tokens, epistemic, aleatoric = _batch1_committee(dec, g, masks, max_len)
+        assert all(r.tokens != tokens for r in refs)
+        assert unc["committee_tokens"] == tokens
+        assert _close(unc["epistemic"], epistemic)
+        assert _close(unc["aleatoric"], aleatoric)
+
+    def test_encoding_needs_one_row_per_sample(self):
+        dec = _decoder(p=0.5)
+        g = RngStream(3).normal((1, ENC))
+        with pytest.raises(ShapeError):
+            generate_mc(dec, lambda r: Tensor(g), T=3, max_len=6, rng=RngStream(9))
+
     def test_no_dropout_collapses_epistemic_to_exact_zero(self):
         dec = _decoder(p=0.0)
         g = RngStream(3).normal((1, ENC))
-        samples, stats, unc = generate_mc(dec, lambda r: Tensor(g), T=4,
-                                          max_len=6, rng=RngStream(9))
+        samples, stats, unc = generate_mc(dec, lambda r: Tensor(np.tile(g, (4, 1))),
+                                          T=4, max_len=6, rng=RngStream(9))
         assert len(samples) == 4
         assert all(s.tokens == samples[0].tokens for s in samples)
         assert np.all(stats.variance == 0.0)
@@ -404,8 +462,8 @@ class TestMcGeneration:
     def test_dropout_produces_spread(self):
         dec = _decoder(p=0.5)
         g = RngStream(3).normal((1, ENC))
-        samples, stats, unc = generate_mc(dec, lambda r: Tensor(g), T=5,
-                                          max_len=6, rng=RngStream(9))
+        samples, stats, unc = generate_mc(dec, lambda r: Tensor(np.tile(g, (5, 1))),
+                                          T=5, max_len=6, rng=RngStream(9))
         assert stats.count == 5 and not stats.degenerate
         assert stats.variance.max() > 0
         assert unc["epistemic"] > 0
@@ -416,8 +474,10 @@ class TestMcGeneration:
     def test_same_stream_bitwise_repeatable(self):
         dec = _decoder(p=0.5)
         g = RngStream(3).normal((1, ENC))
-        a = generate_mc(dec, lambda r: Tensor(g), T=3, max_len=6, rng=RngStream(9))
-        b = generate_mc(dec, lambda r: Tensor(g), T=3, max_len=6, rng=RngStream(9))
+        a = generate_mc(dec, lambda r: Tensor(np.tile(g, (3, 1))), T=3, max_len=6,
+                        rng=RngStream(9))
+        b = generate_mc(dec, lambda r: Tensor(np.tile(g, (3, 1))), T=3, max_len=6,
+                        rng=RngStream(9))
         assert a[2]["committee_tokens"] == b[2]["committee_tokens"]
         assert a[2]["epistemic"] == b[2]["epistemic"]
         np.testing.assert_array_equal(a[1].mean, b[1].mean)
@@ -425,8 +485,8 @@ class TestMcGeneration:
     def test_single_sample_is_degenerate(self):
         dec = _decoder(p=0.5)
         g = RngStream(3).normal((1, ENC))
-        _, stats, unc = generate_mc(dec, lambda r: Tensor(g), T=1,
-                                    max_len=6, rng=RngStream(9))
+        _, stats, unc = generate_mc(dec, lambda r: Tensor(np.tile(g, (1, 1))),
+                                    T=1, max_len=6, rng=RngStream(9))
         assert stats.degenerate
         assert np.all(stats.variance == 0.0)
         assert unc["epistemic"] == 0.0

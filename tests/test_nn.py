@@ -187,7 +187,7 @@ class TestMcPredict:
 
     def test_identical_samples_zero_variance_exact(self):
         val = np.array([0.1234567890123456, -7.89, 3.0])
-        stats = nn.mc_predict(lambda r: val, 17, RngStream(1))
+        stats = nn.mc_predict(lambda r: np.tile(val, 17), 17, RngStream(1))
         assert np.array_equal(stats.mean, val)
         assert np.array_equal(stats.variance, np.zeros(3))
         assert not stats.degenerate
@@ -198,7 +198,8 @@ class TestMcPredict:
         x = np.array([1.0, -2.0, 0.5, 3.0])
 
         def f(r):
-            return x * ad.dropout_mask(x.shape, p, "bernoulli", r)
+            return np.tile(x, 10000) * ad.dropout_mask((10000 * x.size,), p,
+                                                       "bernoulli", r)
 
         stats = nn.mc_predict(f, 10000, RngStream(2))
         want = x * x * p / (1 - p)
@@ -207,7 +208,7 @@ class TestMcPredict:
 
     def test_order_independent(self):
         def f(r):
-            return r.normal((3,))
+            return r.normal((5 * 3,))
 
         a = nn.mc_predict(f, 5, RngStream(3), keep_samples=True)
         # evaluating child streams in reverse order yields the same samples
@@ -220,7 +221,8 @@ class TestMcPredict:
 
         def run(p):
             net.p = p
-            return nn.mc_predict(lambda r: net.forward(x, rng=r, stochastic=True),
+            stacked = Tensor(np.tile(x.data, (200, 1)))
+            return nn.mc_predict(lambda r: net.forward(stacked, rng=r, stochastic=True),
                                  200, RngStream(6)).variance.mean()
 
         v_low, v_high = run(0.1), run(0.5)

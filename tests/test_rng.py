@@ -1,7 +1,9 @@
 """Counter-based stream reproducibility and splitting."""
 
 import numpy as np
+import pytest
 
+from mcvqg.autodiff import ShapeError
 from mcvqg.rng import RngStream
 
 
@@ -66,6 +68,43 @@ class TestSplitting:
         y = s.child("b").normal((4000,))
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 0.05
+
+
+class TestRowStreams:
+    def test_row_t_draws_what_child_t_draws_alone(self):
+        s = RngStream(42).child("mc")
+        for draw, shape in (("uniform", (5, 7)), ("normal", (5, 3)),
+                            ("uniform", (5,))):
+            stacked = getattr(s.rows(5).child("enc"), draw)(shape)
+            assert stacked.shape == shape
+            for t in range(5):
+                alone = getattr(s.child(t).child("enc"), draw)((1,) + shape[1:])
+                assert stacked[t:t + 1].tobytes() == alone.tobytes()
+
+    def test_each_row_advances_its_own_counter(self):
+        s = RngStream(42)
+        rows = s.rows(3)
+        rows.uniform((3, 7))
+        second = rows.normal((3, 2))
+        for t in range(3):
+            alone = s.child(t)
+            alone.uniform((1, 7))
+            assert second[t:t + 1].tobytes() == alone.normal((1, 2)).tobytes()
+
+    def test_blocks_of_rows_draw_what_child_t_draws_for_the_block(self):
+        s = RngStream(8)
+        stacked = s.rows(3).uniform((6, 4))
+        for t in range(3):
+            assert stacked[2 * t:2 * t + 2].tobytes() == \
+                s.child(t).uniform((2, 4)).tobytes()
+
+    def test_leading_extent_must_be_a_multiple_of_the_rows(self):
+        rows = RngStream(1).rows(4)
+        for shape in ((3, 2), (5,), ()):
+            with pytest.raises(ShapeError):
+                rows.uniform(shape)
+            with pytest.raises(ShapeError):
+                rows.normal(shape)
 
 
 class TestMoments:

@@ -324,6 +324,15 @@ class TestEvaluateModel:
                                   rng=RngStream(2).child("eval"))
         assert records == again
 
+    def test_dropout_free_mc_samples_are_identical(self):
+        cfg = tiny_config(decision_mode="mc", eval_mc_samples=5,
+                          dropout={"rate": 0.0, "kind": "none"})
+        model = build_model(cfg, DS)
+        _, records = evaluate_model(model, DS, [0, 1], cfg=cfg)
+        for rec in records:
+            assert rec["samples"] == [rec["samples"][0]] * 5
+            assert rec["epistemic"] == 0.0
+
     def test_mc_request_downgrades_without_inference_sampling(self):
         cfg = tiny_config(decision_mode="mc", mc_inference=False)
         model = build_model(cfg, DS)
@@ -367,6 +376,20 @@ class TestVarianceRecords:
         assert all(r.normalized_variance > 0.0 for r in records)
         assert all(c.p == 0.0 and c.kind == "none"
                    for c in model.dropout_components())
+
+    def test_mc_mean_matches_batch1_encodes(self):
+        cfg = tiny_config()
+        model = build_model(cfg, DS)
+        rng = RngStream(4).child("v")
+        records = variance_records(model, DS, [0, 3], T=4, rng=rng)
+        for idx, rec in zip((0, 3), records):
+            batch = make_batch(DS, [idx])
+            stream = rng.child(("var", idx))
+            draws = [model.encode(batch, stream.child(t), stochastic=True).g_enc.data[0]
+                     for t in range(4)]
+            mean = np.mean(draws, axis=0)
+            assert np.max(np.abs(rec.mc_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+            assert np.max(np.abs(draws[0] - mean)) > 1e-6
 
     def test_deterministic_per_stream(self):
         cfg = tiny_config()
