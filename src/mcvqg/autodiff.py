@@ -12,6 +12,11 @@ consumed by a single `backward` call; the next forward pass gets a fresh
 tape. Gradients accumulate on every requires_grad tensor touched by the
 sweep — leaves and intermediates alike — which is what lets the two-pass
 refinement scheme read d(loss)/d(mixed encoding) off an interior node.
+
+Most ops record one node per output tensor. A fused op may record one node
+for several outputs: `lstm_step` returns (h', c') as a single two-output
+node whose hand-written backward takes both output gradients at once. Such
+a node counts as one in `len(tape)`.
 """
 
 import threading
@@ -95,6 +100,12 @@ class Tape:
     Reset rule: `backward` may run once per tape; afterwards the tape is
     closed and both recording and a second backward raise. Build a new tape
     per forward pass (the two-pass refinement builds two tapes per step).
+
+    A node is (output, backward_fn) or, for a multi-output op, (tuple of
+    outputs, backward_fn). The sweep calls a single-output node's backward
+    with its output's gradient, and a multi-output node's backward once
+    with the list of its outputs' gradients (None for an output that got
+    none), provided at least one of them is set.
     """
 
     def __init__(self):
@@ -132,9 +143,14 @@ class Tape:
         self._closed = True
         loss.grad = np.ones_like(loss.data)
         for out, backward_fn in reversed(self._nodes):
-            g = out.grad
-            if g is not None:
-                backward_fn(g)
+            if type(out) is tuple:
+                grads = [o.grad for o in out]
+                if any(g is not None for g in grads):
+                    backward_fn(grads)
+            else:
+                g = out.grad
+                if g is not None:
+                    backward_fn(g)
 
 
 @contextmanager
@@ -248,15 +264,6 @@ def _sigmoid(x):
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without overflow."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-
-    def backward_fn(g):
-        _accum(a, g * s * (1.0 - s))
-
-    return _make(s, (a,), backward_fn)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -555,6 +562,94 @@ def reverse_grad(x: Tensor, gamma: float) -> Tensor:
         _accum(x, -gamma * g)
 
     return _make(x.data.copy(), (x,), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM step
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+              gate_mask=None, out_mask=None, keep=None):
+    """One LSTM timestep as one two-output tape node; returns (h', c').
+
+    pre = (x @ wx + b) + h @ wh on (B, in) / (B, n) rows, times gate_mask
+    (B, 4n), with the gates packed as input, forget, output, candidate;
+    c' = f*c + i*g and h' = o*tanh(c'), times out_mask (B, n). A (B, 1)
+    `keep` column blends both outputs with the old state, new*keep +
+    old*(1 - keep), so a row with keep 0 passes (h, c) through unchanged.
+    Masks and keep are arrays without gradient; None means none. The
+    forward evaluates in the order of the same step composed from single
+    ops (affine, matmul, add, dropout, sigmoid, tanh, mul), and the
+    backward adds into each input in that composition's sweep order, so
+    values and gradients equal the composed step's bit for bit. A
+    non-finite preactivation raises NonFiniteError here.
+    """
+    xd, hd, cd, wxd, whd, bd = x.data, h.data, c.data, wx.data, wh.data, b.data
+    rows, n = hd.shape if hd.ndim == 2 else (-1, -1)
+    if (xd.ndim != 2 or xd.shape[0] != rows or cd.shape != hd.shape
+            or wxd.shape != (xd.shape[1], 4 * n) or whd.shape != (n, 4 * n)
+            or bd.shape != (4 * n,)):
+        raise ShapeError(f"lstm_step: x {xd.shape}, h {hd.shape}, c {cd.shape}, "
+                         f"wx {wxd.shape}, wh {whd.shape}, b {bd.shape}")
+    for name, arr, shape in (("gate_mask", gate_mask, (rows, 4 * n)),
+                             ("out_mask", out_mask, hd.shape), ("keep", keep, (rows, 1))):
+        if arr is not None and np.shape(arr) != shape:
+            raise ShapeError(f"lstm_step: {name} {np.shape(arr)} does not match {shape}")
+    pre = xd @ wxd + bd + hd @ whd
+    if gate_mask is not None:
+        pre = pre * gate_mask
+    if not np.isfinite(pre).all():
+        raise NonFiniteError(f"non-finite LSTM preactivation of shape {pre.shape}")
+    s = _sigmoid(pre[:, :3 * n])
+    gi, gf, go = s[:, :n], s[:, n:2 * n], s[:, 2 * n:]
+    gc = np.tanh(pre[:, 3 * n:])
+    c_new = gf * cd + gi * gc
+    tc = np.tanh(c_new)
+    h_new = go * tc
+    if out_mask is not None:
+        h_new = h_new * out_mask
+    if keep is not None:
+        keep = np.asarray(keep, dtype=np.float64)
+        drop = 1.0 - keep
+        h_out = h_new * keep + hd * drop
+        c_out = c_new * keep + cd * drop
+    else:
+        h_out, c_out = h_new, c_new
+
+    def backward_fn(grads):
+        g_h, g_c = grads     # of h' and c'; None for an output that got none
+        if g_c is not None and keep is not None:
+            _accum(c, g_c * drop)
+            g_c = g_c * keep
+        if g_h is None:
+            g_go = np.zeros_like(tc)
+        else:
+            if keep is not None:
+                _accum(h, g_h * drop)
+                g_h = g_h * keep
+            if out_mask is not None:
+                g_h = g_h * out_mask
+            g_go = g_h * tc
+            g_tanh = g_h * go * (1.0 - tc * tc)
+            g_c = g_tanh if g_c is None else g_c + g_tanh
+        # from here g_c is the gradient of the unblended c_new
+        g_s = np.concatenate([g_c * gc, g_c * cd, g_go], axis=1)
+        g_pre = np.concatenate([g_s * s * (1.0 - s), g_c * gi * (1.0 - gc * gc)], axis=1)
+        if gate_mask is not None:
+            g_pre = g_pre * gate_mask
+        _accum(c, g_c * gf)
+        _accum(h, g_pre @ whd.T)
+        _accum(wh, hd.T @ g_pre)
+        _accum(x, g_pre @ wxd.T)
+        _accum(wx, xd.T @ g_pre)
+        _accum(b, g_pre.sum(axis=0))
+
+    outs = (Tensor(h_out), Tensor(c_out))
+    tape = active_tape()
+    if tape is not None and any(t.requires_grad for t in (x, h, c, wx, wh, b)):
+        for out in outs:
+            out.requires_grad = True
+        tape._record(outs, backward_fn)
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,6 @@ CUE_NAMES = ("image", "place", "caption", "tag")
 FUSED_CUES = ("place", "caption", "tag")
 
 
-def encode_image(net: BayesianMLP, feats: Tensor, rng: RngStream = None,
-                 stochastic: bool = True) -> Tensor:
-    return net.forward(feats, rng=rng, stochastic=stochastic)
-
-
-def encode_place(net: BayesianMLP, feats: Tensor, rng: RngStream = None,
-                 stochastic: bool = True) -> Tensor:
-    return net.forward(feats, rng=rng, stochastic=stochastic)
-
-
 def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.ndarray,
                    lengths: np.ndarray = None, rng: RngStream = None,
                    stochastic: bool = True) -> Tensor:
@@ -107,11 +97,11 @@ class CueEncoders:
         sub = (lambda tag: rng.child(tag)) if rng is not None else (lambda tag: None)
         out = {}
         if self.image_net is not None:
-            out["image"] = encode_image(self.image_net, Tensor(batch.image),
-                                        sub("image"), stochastic)
+            out["image"] = self.image_net.forward(Tensor(batch.image), sub("image"),
+                                                  stochastic)
         if self.place_net is not None:
-            out["place"] = encode_place(self.place_net, Tensor(batch.place),
-                                        sub("place"), stochastic)
+            out["place"] = self.place_net.forward(Tensor(batch.place), sub("place"),
+                                                  stochastic)
         if self.caption_cell is not None:
             out["caption"] = encode_caption(self.caption_cell, self.embedding,
                                             batch.caption_ids, batch.caption_lengths,

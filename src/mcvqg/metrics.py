@@ -240,7 +240,7 @@ def evaluate_corpus(candidates, references_list, bleu_mode: str = "max",
     clipped counts across the corpus. ROUGE-L is always the per-example max;
     CIDEr is corpus-level by construction.
     """
-    if bleu_mode not in ("max", "max_ref", "corpus"):
+    if bleu_mode not in ("max", "corpus"):
         raise ValueError(f"unknown bleu_mode {bleu_mode!r}")
     if len(candidates) != len(references_list) or not candidates:
         raise ValueError("evaluation needs matched, nonempty candidate/reference lists")

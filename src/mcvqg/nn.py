@@ -116,21 +116,10 @@ class BayesianLSTMCell:
             out=ad.dropout_mask((batch, h), self.p, self.kind, rng.child("out")),
         )
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor, masks: LstmMasks):
-        """One timestep; (x, h, c) are (B, *) rows, returns (h', c')."""
-        n = self.hidden_size
-        pre = ad.add(ad.affine(x, self.wx, self.b), ad.matmul(h, self.wh))
-        if masks.gates is not None:
-            pre = ad.dropout(pre, self.p, self.kind, masks.gates)
-        gi = ad.sigmoid(ad.slice_cols(pre, 0, n))
-        gf = ad.sigmoid(ad.slice_cols(pre, n, 2 * n))
-        go = ad.sigmoid(ad.slice_cols(pre, 2 * n, 3 * n))
-        gc = ad.tanh(ad.slice_cols(pre, 3 * n, 4 * n))
-        c_next = ad.add(ad.mul(gf, c), ad.mul(gi, gc))
-        h_next = ad.mul(go, ad.tanh(c_next))
-        if masks.out is not None:
-            h_next = ad.dropout(h_next, self.p, self.kind, masks.out)
-        return h_next, c_next
+    def step(self, x: Tensor, h: Tensor, c: Tensor, masks: LstmMasks, keep=None):
+        """One timestep; (x, h, c) are (B, *) rows, returns (h', c'). A (B, 1)
+        0/1 `keep` column holds the rows flagged 0 at (h, c)."""
+        return ad.lstm_step(x, h, c, self.wx, self.wh, self.b, masks.gates, masks.out, keep)
 
     def initial_state(self, batch: int):
         z = np.zeros((batch, self.hidden_size))
@@ -154,16 +143,8 @@ class BayesianLSTMCell:
         h, c = state if state is not None else self.initial_state(batch)
         outputs = []
         for t, x in enumerate(inputs):
-            h_new, c_new = self.step(x, h, c, masks)
-            if step_mask is not None:
-                keep = np.repeat(step_mask[:, t:t + 1].astype(np.float64),
-                                 self.hidden_size, axis=1)
-                keep_t = Tensor(keep)
-                drop_t = Tensor(1.0 - keep)
-                h = ad.add(ad.mul(h_new, keep_t), ad.mul(h, drop_t))
-                c = ad.add(ad.mul(c_new, keep_t), ad.mul(c, drop_t))
-            else:
-                h, c = h_new, c_new
+            keep = None if step_mask is None else step_mask[:, t:t + 1]
+            h, c = self.step(x, h, c, masks, keep)
             outputs.append(h)
         return outputs, h
 

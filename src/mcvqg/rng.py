@@ -1,5 +1,6 @@
 """Counter-based random streams for reproducible stochastic passes."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,7 +18,14 @@ def _splitmix64(x: int) -> int:
 def _tag_to_int(tag) -> int:
     if isinstance(tag, (int, np.integer)):
         return int(tag) & _MASK64
-    digest = hashlib.blake2b(str(tag).encode("utf-8"), digest_size=8).digest()
+    return _text_to_int(str(tag))
+
+
+@functools.lru_cache(maxsize=1024)
+def _text_to_int(text: str) -> int:
+    # keyed on the text, not the tag: ("w", 1) and ("w", np.int64(1)) are
+    # equal keys but hash different texts
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

@@ -21,8 +21,9 @@
 The pytest -v row is the pass/fail line per criterion; each test also prints
 one `[criterion N] PASS` line with its measurements (visible with -s).
 Criteria 5-7 retrain small models; their time depends on the machine (about
-223 s, 232 s and 197 s, some 11 minutes together, on a 2-core machine with
-Python 3.11 and numpy 2.4). Everything else finishes in seconds.
+178 s, 184 s and 133 s, some 8 minutes together, on a 2-core machine with
+Python 3.11 and numpy 2.4, where criterion 1 took 5.5-8.0 s of its 10 s
+bound). Everything else finishes in seconds.
 """
 
 import json

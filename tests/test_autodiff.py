@@ -74,13 +74,13 @@ class TestForwardValues:
     def test_unary_values(self):
         x = Tensor([-1.5, 0.0, 2.0])
         assert np.allclose(ad.tanh(x).data, np.tanh(x.data))
-        assert np.allclose(ad.sigmoid(x).data, 1 / (1 + np.exp(-x.data)))
+        assert np.allclose(ad._sigmoid(x.data), 1 / (1 + np.exp(-x.data)))
         assert np.allclose(ad.exp(x).data, np.exp(x.data))
         assert np.allclose(ad.softplus(x).data, np.log1p(np.exp(x.data)))
 
     def test_sigmoid_softplus_stable_at_extremes(self):
         x = Tensor([-1e3, 1e3])
-        s = ad.sigmoid(x).data
+        s = ad._sigmoid(x.data)
         assert s[0] == 0.0 and s[1] == 1.0
         sp = ad.softplus(x).data
         assert sp[0] == 0.0 and np.isclose(sp[1], 1e3)
@@ -214,6 +214,40 @@ class TestBackward:
             loss = ad.sum_all(ad.mul(mid, mid))
         tape.backward(loss)
         assert np.allclose(mid.grad, 2 * mid.data)
+
+    def test_two_output_node_counts_once_and_runs_once(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        calls = []
+
+        def backward_fn(grads):
+            calls.append(grads)
+            ga, gb = grads
+            ad._accum(x, 2.0 * ga + 3.0 * gb)
+
+        with Tape() as tape:
+            a, b = Tensor(2.0 * x.data, requires_grad=True), Tensor(3.0 * x.data, requires_grad=True)
+            tape._record((a, b), backward_fn)
+            assert len(tape) == 1
+            loss = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(b))
+        tape.backward(loss)
+        assert len(calls) == 1
+        assert np.allclose(x.grad, 2.0 * 2.0 * a.data + 3.0)
+
+    def test_two_output_node_passes_none_for_an_unused_output(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        calls = []
+
+        def backward_fn(grads):
+            calls.append(grads)
+            ad._accum(x, 2.0 * grads[0])
+
+        with Tape() as tape:
+            a, b = Tensor(2.0 * x.data, requires_grad=True), Tensor(3.0 * x.data, requires_grad=True)
+            tape._record((a, b), backward_fn)
+            loss = ad.sum_all(a)
+        tape.backward(loss)
+        assert len(calls) == 1 and calls[0][1] is None
+        assert np.array_equal(x.grad, [2.0, 2.0])
 
 
 class TestStructuralOps:

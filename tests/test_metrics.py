@@ -318,6 +318,8 @@ class TestCorpusEvaluation:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="bleu_mode"):
             evaluate_corpus([["a"]], [[["a"]]], bleu_mode="median")
+        with pytest.raises(ValueError, match="bleu_mode"):
+            evaluate_corpus([["a"]], [[["a"]]], bleu_mode="max_ref")
         with pytest.raises(ValueError, match="nonempty"):
             evaluate_corpus([], [])
 

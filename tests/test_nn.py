@@ -153,6 +153,88 @@ class TestBayesianLSTMCell:
         assert ad.grad_check(f, params, h=1e-5) <= 1e-6
 
 
+def _lstm_operands():
+    """(x, h, c, wx, wh, b) of a 3-row step, input 2, hidden 3, all requiring grad."""
+    draw = RngStream(20)
+    shapes = {"x": (3, 2), "h": (3, 3), "c": (3, 3), "wx": (2, 12), "wh": (3, 12),
+              "b": (12,)}
+    return [Tensor(draw.child(k).normal(shape) * 0.8, requires_grad=True)
+            for k, shape in shapes.items()]
+
+
+class TestLstmStep:
+    """The fused op, against the straight-line oracle and central differences."""
+
+    KEEP = np.array([[1.0], [0.0], [1.0]])    # row 1 is a padded step
+
+    def _masks(self, kind):
+        gates = ad.dropout_mask((3, 12), 0.3, kind, RngStream(21).child("gates"))
+        out = ad.dropout_mask((3, 3), 0.3, kind, RngStream(21).child("out"))
+        return gates, out
+
+    def test_values_match_manual_with_masks_and_keep(self):
+        ops = _lstm_operands()
+        gates, out = self._masks("gaussian")
+        h2, c2 = ad.lstm_step(*ops, gates, out, self.KEEP)
+        want_h, want_c = manual_lstm_step(*(t.data for t in ops), gmask=gates, omask=out)
+        for row in (0, 2):
+            assert np.allclose(h2.data[row], want_h[row], rtol=1e-14)
+            assert np.allclose(c2.data[row], want_c[row], rtol=1e-14)
+        # keep 0 passes the old state through bitwise
+        assert h2.data[1].tobytes() == ops[1].data[1].tobytes()
+        assert c2.data[1].tobytes() == ops[2].data[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("keep", [None, KEEP])
+    def test_gradients_match_fd(self, kind, keep):
+        ops = _lstm_operands()
+        gates, out = self._masks(kind)
+        wh_, wc_ = RngStream(22).normal((3, 3)), RngStream(23).normal((3, 3))
+
+        def f():
+            h2, c2 = ad.lstm_step(*ops, gates, out, keep)
+            return ad.add(ad.sum_all(ad.mul(h2, Tensor(wh_))),
+                          ad.sum_all(ad.mul(c2, ad.mul(c2, Tensor(wc_)))))
+
+        assert ad.grad_check(f, ops, h=1e-5) <= 1e-6
+
+    @pytest.mark.parametrize("read", ["h", "c"])
+    def test_gradients_when_the_loss_reads_one_output(self, read):
+        # the other output gets no gradient: the node's backward sees None
+        ops = _lstm_operands()
+        gates, out = self._masks("bernoulli")
+
+        def f():
+            h2, c2 = ad.lstm_step(*ops, gates, out, self.KEEP)
+            y = h2 if read == "h" else c2
+            return ad.sum_all(ad.mul(y, y))
+
+        assert ad.grad_check(f, ops, h=1e-5) <= 1e-6
+
+    def test_one_tape_node_per_step(self):
+        ops = _lstm_operands()
+        with Tape() as tape:
+            h2, c2 = ad.lstm_step(*ops, keep=self.KEEP)
+            assert len(tape) == 1
+            ad.lstm_step(Tensor(ops[0].data), h2, c2, *ops[3:])
+            assert len(tape) == 2
+
+    def test_bad_shapes_rejected(self):
+        x, h, c, wx, wh, b = _lstm_operands()
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_step(x, h, c, wh, wx, b)
+        with pytest.raises(ad.ShapeError, match="keep"):
+            ad.lstm_step(x, h, c, wx, wh, b, keep=np.ones((3, 3)))
+        with pytest.raises(ad.ShapeError, match="gate_mask"):
+            ad.lstm_step(x, h, c, wx, wh, b, gate_mask=np.ones((3, 3)))
+
+    def test_nonfinite_preactivation_raises(self):
+        x, h, c, wx, wh, b = _lstm_operands()
+        huge = Tensor(np.full(x.shape, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+            ad.lstm_step(huge, h, c, Tensor(np.full(wx.shape, 1e10)), wh, b)
+
+
 class TestEmbeddingTable:
     def test_lookup_equals_one_hot_matmul_exactly(self):
         emb = nn.EmbeddingTable(7, 4, RngStream(0))

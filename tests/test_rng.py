@@ -62,6 +62,17 @@ class TestSplitting:
         assert np.array_equal(c1, c1_first)
         assert np.array_equal(c2, c2_first)
 
+    def test_child_stream_ids_are_pinned(self):
+        # the hash of a str or tuple tag is memoized: a repeated tag, in any
+        # order, gives the same stream, and the equal tuples ("w", 1) and
+        # ("w", np.int64(1)) keep their distinct streams
+        parent = RngStream(2020, stream=5)
+        pinned = [("caption", 6508331216720876372), (("w", 1), 7628246020216705545),
+                  (("w", np.int64(1)), 6174413749113342189), (7, 9853691929716327830)]
+        for tags in (pinned, pinned[::-1]):
+            for tag, stream in tags:
+                assert parent.child(tag).state() == (2020, stream, 0)
+
     def test_distinct_streams_decorrelated(self):
         s = RngStream(0)
         x = s.child("a").normal((4000,))
