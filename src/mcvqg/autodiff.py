@@ -2,7 +2,7 @@
 
 Shape discipline is strict: binary elementwise ops demand identical shapes
 and the only implicit broadcast is scalar * tensor (`scale`). Batched
-variants (`affine` with a row bias, `row_softmax`, `tile_rows`, ...) are
+variants (`affine` with a row bias, `row_softmax`, `lrt_sample`, ...) are
 separate named operations so that shape bugs surface as errors instead of
 silent broadcasting. Values are checked finite on construction, which makes
 NaN/Inf an error at the op that produced it.
@@ -167,8 +167,10 @@ def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, never an alias: `add` hands the same g to both inputs
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _make(out_data, inputs, backward_fn) -> Tensor:
@@ -275,16 +277,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(e, (a,), backward_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log: input must be strictly positive")
-
-    def backward_fn(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward_fn)
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; strictly positive output."""
     x = a.data
@@ -295,19 +287,6 @@ def softplus(a: Tensor) -> Tensor:
         _accum(a, g * s)
 
     return _make(out, (a,), backward_fn)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; derivative blows up at exactly 0, so keep
-    differentiable inputs strictly positive (softplus upstream does)."""
-    if np.any(a.data < 0):
-        raise ValueError("sqrt: input must be nonnegative")
-    r = np.sqrt(a.data)
-
-    def backward_fn(g):
-        _accum(a, g * 0.5 / r)
-
-    return _make(r, (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +325,26 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     return _make(x.data + v.data, (x, v), backward_fn)
 
 
-def concat_cols(parts) -> Tensor:
+def concat(parts, axis: int) -> Tensor:
+    """Join 2-D tensors along axis 0 (stacked rows) or 1 (side-by-side
+    columns); the other extent must agree."""
     parts = list(parts)
+    if axis not in (0, 1):
+        raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
     if not parts:
-        raise ShapeError("concat_cols: empty input")
+        raise ShapeError("concat: empty input")
     if any(p.data.ndim != 2 for p in parts):
-        raise ShapeError("concat_cols: all parts must be 2-D")
-    rows = parts[0].data.shape[0]
-    if any(p.data.shape[0] != rows for p in parts):
-        raise ShapeError(f"concat_cols: row counts differ: {[p.data.shape for p in parts]}")
-    widths = [p.data.shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
+        raise ShapeError("concat: all parts must be 2-D")
+    other = 1 - axis
+    if any(p.data.shape[other] != parts[0].data.shape[other] for p in parts):
+        raise ShapeError(f"concat: extents across axis {axis} differ: "
+                         f"{[p.data.shape for p in parts]}")
+    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    out = np.concatenate([p.data for p in parts], axis=axis)
 
     def backward_fn(g):
-        off = 0
-        for p, wdt in zip(parts, widths):
-            _accum(p, g[:, off:off + wdt])
-            off += wdt
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            _accum(p, g[lo:hi] if axis == 0 else g[:, lo:hi])
 
     return _make(out, tuple(parts), backward_fn)
 
@@ -386,18 +368,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         _accum(x, g.reshape(x.data.shape))
 
     return _make(x.data.reshape(shape), (x,), backward_fn)
-
-
-def tile_rows(x: Tensor, reps: int) -> Tensor:
-    """Stack `reps` copies of a (B, n) matrix into (reps*B, n)."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"tile_rows: need 2-D input, got {x.data.shape}")
-    rows, cols = x.data.shape
-
-    def backward_fn(g):
-        _accum(x, g.reshape(reps, rows, cols).sum(axis=0))
-
-    return _make(np.tile(x.data, (reps, 1)), (x,), backward_fn)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -460,8 +430,8 @@ def colscale(x: Tensor, s: Tensor) -> Tensor:
 
 def row_softmax(x: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction; rows sum to 1."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"row_softmax: need 2-D input, got {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
+        raise ShapeError(f"row_softmax: need 2-D input with columns, got {x.data.shape}")
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
@@ -474,8 +444,8 @@ def row_softmax(x: Tensor) -> Tensor:
 
 def row_logsumexp(x: Tensor) -> Tensor:
     """Row-wise log-sum-exp of a (B, n) matrix -> (B,)."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"row_logsumexp: need 2-D input, got {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
+        raise ShapeError(f"row_logsumexp: need 2-D input with columns, got {x.data.shape}")
     m = x.data.max(axis=1)
     e = np.exp(x.data - m[:, None])
     s = e.sum(axis=1)
@@ -485,43 +455,6 @@ def row_logsumexp(x: Tensor) -> Tensor:
         _accum(x, g[:, None] * p)
 
     return _make(m + np.log(s), (x,), backward_fn)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over a 1-D vector (max-subtracted)."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"softmax: need 1-D input, got {x.data.shape}")
-    if x.data.size == 0:
-        raise ShapeError("softmax: empty input")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    p = e / e.sum()
-
-    def backward_fn(g):
-        _accum(x, p * (g - float((g * p).sum())))
-
-    return _make(p, (x,), backward_fn)
-
-
-def logsumexp(x: Tensor) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError(f"logsumexp: need 1-D input, got {x.data.shape}")
-    if x.data.size == 0:
-        raise ShapeError("logsumexp: empty input")
-    m = x.data.max()
-    e = np.exp(x.data - m)
-    s = e.sum()
-    p = e / s
-
-    def backward_fn(g):
-        _accum(x, float(g) * p)
-
-    return _make(np.asarray(m + np.log(s)), (x,), backward_fn)
-
-
-def softmax_logsumexp(x: Tensor):
-    """(softmax(x), logsumexp(x)) for a 1-D vector; probs sum to 1."""
-    return softmax(x), logsumexp(x)
 
 
 def log_mean_exp_rows(x: Tensor) -> Tensor:
@@ -552,16 +485,52 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(np.asarray(x.data.sum()), (x,), backward_fn)
 
 
-def reverse_grad(x: Tensor, gamma: float) -> Tensor:
-    """Identity forward; backward multiplies the upstream gradient by -gamma."""
-    gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"reverse_grad: gamma must be nonnegative, got {gamma}")
+def masked_step_sum(x: Tensor, mask) -> Tensor:
+    """Masked sum of a time-major (L*B,) vector under a (B, L) 0/1 mask,
+    where x[t*B + b] is step t of row b and is weighted by mask[b, t].
+
+    Each step's B products are summed first, then the step sums are added
+    in step order, which is the order of summing one step at a time.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 2 or x.data.shape != (mask.size,):
+        raise ShapeError(f"masked_step_sum: x {x.data.shape}, mask {mask.shape}")
+    weights = np.ascontiguousarray(mask.T)
+    steps = (x.data.reshape(weights.shape) * weights).sum(axis=1)
 
     def backward_fn(g):
-        _accum(x, -gamma * g)
+        _accum(x, np.full_like(x.data, float(g)) * weights.reshape(-1))
 
-    return _make(x.data.copy(), (x,), backward_fn)
+    return _make(np.cumsum(steps)[-1], (x,), backward_fn)
+
+
+def lrt_sample(y: Tensor, v: Tensor, eps) -> Tensor:
+    """Logit reparameterization of T noise draws: tile(y) + eps * tile(sqrt(v)).
+
+    y and v are (N, V) logits and variances; eps is (T*N, V) and row
+    s*N + n of the result is draw s of row n. One tape node: the backward
+    keeps only y's and v's data, sqrt(v) and eps. The square root's
+    derivative is infinite at v = 0, so keep differentiable variances
+    strictly positive (a softplus upstream does).
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    _check_same_shape("lrt_sample", y, v)
+    rows, cols = y.data.shape if y.data.ndim == 2 else (0, -1)
+    if (rows == 0 or eps.ndim != 2 or eps.shape[1] != cols or not eps.shape[0]
+            or eps.shape[0] % rows):
+        raise ShapeError(f"lrt_sample: eps {eps.shape} is not a stack of logits "
+                         f"{y.data.shape}")
+    if np.any(v.data < 0):
+        raise ValueError("lrt_sample: variances must be nonnegative")
+    reps = eps.shape[0] // rows
+    r = np.sqrt(v.data)
+
+    def backward_fn(g):
+        _accum(y, g.reshape(reps, rows, cols).sum(axis=0))
+        _accum(v, (g * eps).reshape(reps, rows, cols).sum(axis=0) * 0.5 / r)
+
+    return _make(np.tile(y.data, (reps, 1)) + eps * np.tile(r, (reps, 1)), (y, v),
+                 backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -668,19 +637,14 @@ def dropout_mask(shape, p: float, kind: str, rng: RngStream):
     raise ValueError(f"unknown dropout kind: {kind!r}")
 
 
-def dropout(x: Tensor, p: float, kind: str, source) -> Tensor:
-    """Multiplicative dropout. `source` is an RngStream (fresh mask) or a
-    precomputed mask array (tied masks); p=0 returns the input unchanged."""
+def dropout(x: Tensor, p: float, kind: str, rng: RngStream) -> Tensor:
+    """Multiplicative dropout with a fresh mask drawn from `rng`; p=0
+    returns the input unchanged."""
     if not (0.0 <= p < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    if isinstance(source, RngStream):
-        mask = dropout_mask(x.data.shape, p, kind, source)
-    else:
-        mask = np.asarray(source, dtype=np.float64)
-        if mask.shape != x.data.shape:
-            raise ShapeError(f"dropout: mask {mask.shape} does not match input {x.data.shape}")
+    mask = dropout_mask(x.data.shape, p, kind, rng)
 
     def backward_fn(g):
         _accum(x, g * mask)

@@ -107,8 +107,9 @@ def decode_teacher_forced(dec: Decoder, g_enc: Tensor, gold: np.ndarray,
                           rng: RngStream = None, stochastic: bool = True,
                           masks=None):
     """Step -1 consumes the encoding, step t the embedding of gold[t]; the
-    hidden state after gold[t] scores gold[t+1]. Returns per-step (logits,
-    variances), each a list of (B, V) tensors of length L-1."""
+    hidden state after gold[t] scores gold[t+1]. The heads run once per
+    step. Returns (logits, variances), each one time-major ((L-1)*B, V)
+    tensor: row t*B + b is step t of example b."""
     gold = check_gold(gold)
     batch, length = gold.shape
     if masks is None:
@@ -123,11 +124,11 @@ def decode_teacher_forced(dec: Decoder, g_enc: Tensor, gold: np.ndarray,
         y, v = dec.heads(h)
         logits.append(y)
         variances.append(v)
-    return logits, variances
+    return ad.concat(logits, axis=0), ad.concat(variances, axis=0)
 
 
-def _neg_masked_mean(step_values, mask: np.ndarray) -> Tensor:
-    """-(sum of masked per-step (B,) values) / (number of unmasked steps).
+def _neg_masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:
+    """-(masked sum of time-major (L*B,) values) / (number of unmasked steps).
 
     Both likelihood losses reduce through this exact code path so their
     zero-variance degeneracy is bitwise, not just close.
@@ -135,50 +136,44 @@ def _neg_masked_mean(step_values, mask: np.ndarray) -> Tensor:
     count = float(mask.sum())
     if count <= 0:
         raise ValueError("loss mask is empty: nothing to average")
-    total = None
-    for t, vals in enumerate(step_values):
-        term = ad.sum_all(ad.mul(vals, Tensor(mask[:, t])))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, -1.0 / count)
+    return ad.scale(ad.masked_step_sum(values, mask), -1.0 / count)
 
 
-def gen_loss(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood per unmasked token (nats/token)."""
-    steps = []
-    for t, y in enumerate(logits):
-        lp = ad.sub(ad.gather_cols(y, targets[:, t]), ad.row_logsumexp(y))
-        steps.append(lp)
-    return _neg_masked_mean(steps, mask)
+def _log_likelihoods(y: Tensor, targets) -> Tensor:
+    """log softmax(y)[target] for every row of y."""
+    return ad.sub(ad.gather_cols(y, targets), ad.row_logsumexp(y))
 
 
-def lrt_sample(y: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
-    """Logit reparameterization: y + eps * sigma for one noise draw."""
-    if eps.shape != y.data.shape:
-        raise ad.ShapeError(f"lrt: eps {eps.shape} does not match logits {y.data.shape}")
-    return ad.add(y, ad.mul(Tensor(eps), sigma))
+def gen_loss(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood per unmasked token (nats/token).
+
+    logits is time-major ((L-1)*B, V), row t*B + b scoring targets[b, t],
+    as decode_teacher_forced returns it; targets and mask are (B, L-1).
+    """
+    return _neg_masked_mean(_log_likelihoods(logits, targets.T.reshape(-1)), mask)
 
 
-def aleatoric_mc_loss(logits, variances, targets: np.ndarray, mask: np.ndarray,
-                      T: int, rng: RngStream) -> Tensor:
-    """-mean log[(1/T) sum_t softmax(y + eps_t * sqrt(v))[gold]] per token.
+def aleatoric_mc_loss(logits: Tensor, variances: Tensor, targets: np.ndarray,
+                      mask: np.ndarray, T: int, rng: RngStream) -> Tensor:
+    """-mean log[(1/T) sum_s softmax(y + eps_s * sqrt(v))[gold]] per token.
 
-    The T draws ride a row-tiled batch, and the MC average is a log-mean-exp,
-    so v == 0 reproduces gen_loss exactly (identical rows collapse without
-    rounding).
+    logits and variances are time-major ((L-1)*B, V), row t*B + b for step
+    t of example b, as decode_teacher_forced returns them. Step t draws its
+    (T*B, V) noise from rng.child(("eps", t)); its row s*B + b perturbs
+    row s*(L-1)*B + t*B + b of the T stacked copies of the logits. The MC
+    average is a log-mean-exp, so v == 0 reproduces gen_loss exactly
+    (identical rows collapse without rounding).
     """
     if T < 1:
         raise ValueError(f"aleatoric loss needs T >= 1, got {T}")
-    batch = targets.shape[0]
-    steps = []
-    for t, (y, v) in enumerate(zip(logits, variances)):
-        sigma = ad.sqrt(v)
-        eps = rng.child(("eps", t)).normal((T * batch, y.data.shape[1]))
-        y_hat = ad.add(ad.tile_rows(y, T), ad.mul(Tensor(eps), ad.tile_rows(sigma, T)))
-        tiled_targets = np.tile(targets[:, t], T)
-        lp = ad.sub(ad.gather_cols(y_hat, tiled_targets), ad.row_logsumexp(y_hat))
-        lp_mc = ad.log_mean_exp_rows(ad.reshape(lp, (T, batch)))
-        steps.append(lp_mc)
-    return _neg_masked_mean(steps, mask)
+    batch, steps = targets.shape
+    vocab = logits.data.shape[1]
+    eps = np.empty((T, steps, batch, vocab))
+    for t in range(steps):
+        eps[:, t] = rng.child(("eps", t)).normal((T * batch, vocab)).reshape(T, batch, vocab)
+    y_hat = ad.lrt_sample(logits, variances, eps.reshape(T * steps * batch, vocab))
+    lp = _log_likelihoods(y_hat, np.tile(targets.T.reshape(-1), T))
+    return _neg_masked_mean(ad.log_mean_exp_rows(ad.reshape(lp, (T, steps * batch))), mask)
 
 
 def distorted_loss(l_plain: Tensor, l_aleatoric: Tensor, alpha: float = 1.0) -> Tensor:
@@ -213,11 +208,6 @@ def mumc_refine(g_enc: Tensor, mus: dict, grad_wrt_enc: np.ndarray,
         term = ad.mul(reversed_grad, mu)
         direction = term if direction is None else ad.add(direction, term)
     return ad.add(g_enc, ad.mul(direction, g_enc))
-
-
-def total_loss(l_gen_refined: Tensor, l_uncertainty: Tensor,
-               uncertainty_weight: float) -> Tensor:
-    return ad.add(l_gen_refined, ad.scale(l_uncertainty, uncertainty_weight))
 
 
 # ---------------------------------------------------------------------------

@@ -87,20 +87,19 @@ class Moderator:
         self.gate_net = BayesianMLP([image_dim, dim, dim], p, kind, rng.child("gate_net"))
 
     def gate(self, mus: dict, image_feats: Tensor, rng: RngStream = None,
-             stochastic: bool = True, basis: dict = None):
-        """Returns (pi (B,k), cue order). `basis` overrides what the scores
-        are taken against (default: the fused embeddings themselves)."""
+             stochastic: bool = True):
+        """Returns (pi (B,k), cue order); the scores are taken against the
+        fused embeddings themselves."""
         order = tuple(mus.keys())
         if not order:
             raise ValueError("moderator needs at least one active cue")
         g_gat = self.gate_net.forward(image_feats, rng=rng.child("gate") if rng else None,
                                       stochastic=stochastic)
-        source = basis if basis is not None else mus
         cols = []
         for cue in order:
-            s = ad.dot_rows(source[cue], g_gat)
+            s = ad.dot_rows(mus[cue], g_gat)
             cols.append(ad.reshape(s, (s.shape[0], 1)))
-        scores = ad.concat_cols(cols)
+        scores = ad.concat(cols, axis=1)
         if self.temperature != 1.0:
             scores = ad.scale(scores, 1.0 / self.temperature)
         return ad.row_softmax(scores), order
@@ -138,7 +137,7 @@ class MixtureCombiner:
         embs = list(embs)
         if len(embs) != self.n_inputs:
             raise ad.ShapeError(f"mixture expects {self.n_inputs} embeddings, got {len(embs)}")
-        return ad.affine(ad.concat_cols(embs), self.w, self.b)
+        return ad.affine(ad.concat(embs, axis=1), self.w, self.b)
 
     def named_params(self, prefix: str = "mixture"):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}

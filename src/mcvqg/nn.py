@@ -172,12 +172,10 @@ class McStatistics:
     """Per-coordinate mean and unbiased variance of T Monte-Carlo samples."""
     count: int
     mean: np.ndarray
-    variance: np.ndarray
-    degenerate: bool            # True when count == 1 (variance forced to 0)
-    samples: np.ndarray | None = None   # (T, ...) stack, sample t at index t
+    variance: np.ndarray        # all 0 when count == 1
 
 
-def mc_statistics(samples: np.ndarray, keep_samples: bool = False) -> McStatistics:
+def mc_statistics(samples: np.ndarray) -> McStatistics:
     """Mean and unbiased variance over axis 0 of a (T, ...) sample stack.
 
     The mean is accumulated relative to the first sample, so T identical
@@ -192,12 +190,10 @@ def mc_statistics(samples: np.ndarray, keep_samples: bool = False) -> McStatisti
     else:
         d = samples - mean
         variance = (d * d).sum(axis=0) / (count - 1)
-    return McStatistics(count=count, mean=mean, variance=variance,
-                        degenerate=(count == 1),
-                        samples=samples if keep_samples else None)
+    return McStatistics(count=count, mean=mean, variance=variance)
 
 
-def mc_predict(f, T: int, rng: RngStream, keep_samples: bool = False) -> McStatistics:
+def mc_predict(f, T: int, rng: RngStream) -> McStatistics:
     """Run stochastic `f` once for all T samples and summarize.
 
     f(rows) gets rows = rng.rows(T) and returns the T samples concatenated
@@ -215,7 +211,7 @@ def mc_predict(f, T: int, rng: RngStream, keep_samples: bool = False) -> McStati
     if data.ndim == 0 or data.shape[0] % T:
         raise ad.ShapeError(f"mc_predict: leading extent of {data.shape} is not "
                             f"a multiple of T={T}")
-    return mc_statistics(data.reshape((T, -1) + data.shape[1:]), keep_samples)
+    return mc_statistics(data.reshape((T, -1) + data.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

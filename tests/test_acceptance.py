@@ -20,10 +20,11 @@
 
 The pytest -v row is the pass/fail line per criterion; each test also prints
 one `[criterion N] PASS` line with its measurements (visible with -s).
-Criteria 5-7 retrain small models; their time depends on the machine (about
-178 s, 184 s and 133 s, some 8 minutes together, on a 2-core machine with
-Python 3.11 and numpy 2.4, where criterion 1 took 5.5-8.0 s of its 10 s
-bound). Everything else finishes in seconds.
+Criteria 5-7 retrain small models and carry the `slow` marker, so
+`pytest -m "not slow"` skips them; their time depends on the machine (about
+116-119 s, 148-151 s and 109-121 s, some 6.5 minutes together, on a 2-core
+machine with Python 3.11 and numpy 2.4, where criterion 1 took 4.7-7.0 s
+of its 10 s bound). Everything else finishes in seconds.
 """
 
 import json
@@ -34,6 +35,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import mcvqg
 from mcvqg import autodiff as ad
@@ -42,8 +44,7 @@ from mcvqg.config import apply_overrides, config_from_dict
 from mcvqg.data import BOS, PAD, synth_generate
 from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced,
                            distorted_loss, gen_loss, generate_greedy,
-                           generate_mc, mumc_refine, targets_and_mask,
-                           total_loss)
+                           generate_mc, mumc_refine, targets_and_mask)
 from mcvqg.fusion import Moderator
 from mcvqg.metrics import bleu_n, cider, rouge_l
 from mcvqg.model import Batch, MultiCueModel, make_batch
@@ -155,7 +156,7 @@ class TestAcceptance:
             logits2, _ = decode_teacher_forced(model.decoder, refined,
                                                batch.gold, masks=masks)
             l_gen = gen_loss(logits2, targets, mask)
-            return total_loss(l_gen, l_u, cfg.mumc.uncertainty_weight)
+            return ad.add(l_gen, ad.scale(l_u, cfg.mumc.uncertainty_weight))
 
         with Tape():
             assert objective().item() == rec["total"]
@@ -188,8 +189,9 @@ class TestAcceptance:
 
         # v = 0: the Monte-Carlo likelihood loss collapses onto plain CE.
         draw = np.random.default_rng(5)
-        logits = [Tensor(draw.normal(size=(2, 6))) for _ in range(3)]
-        variances = [Tensor(np.zeros((2, 6))) for _ in range(3)]
+        # time-major: row t*2 + b is step t of example b
+        logits = Tensor(np.concatenate([draw.normal(size=(2, 6)) for _ in range(3)]))
+        variances = Tensor(np.zeros((3 * 2, 6)))
         l_mc = aleatoric_mc_loss(logits, variances, targets, mask, T=5,
                                  rng=rng.child("lrt"))
         l_ce = gen_loss(logits, targets, mask)
@@ -207,8 +209,7 @@ class TestAcceptance:
         refined = mumc_refine(enc2.g_enc, enc2.mus, enc1.g_enc.grad, 0.0)
         logits2, _ = decode_teacher_forced(model.decoder, refined, batch.gold,
                                            masks=masks)
-        assert all(np.array_equal(a.data, b.data)
-                   for a, b in zip(logits1, logits2))
+        assert np.array_equal(logits1.data, logits2.data)
         assert gen_loss(logits2, targets, mask).item() == l_plain.item()
         for p in model.named_params().values():
             p.zero_grad()
@@ -335,9 +336,19 @@ class TestAcceptance:
               f"{worst:.2e} <= 1e-9), 5 hand fixtures (worst gap "
               f"{fixture_err:.2e} <= 1e-6)")
 
+    @pytest.mark.slow
     def test_criterion_5_memorization_and_toy_fit(self):
         """(a) one example to < 0.05 nats/token with exact greedy recovery;
-        (b) 50 examples to train BLEU-1 >= 90 within 200 epochs, < 5 min."""
+        (b) 50 examples to train BLEU-1 >= 90 within 200 epochs, < 5 min.
+
+        (b) reads 92.19171982012871 at seed 0, only 2.2 BLEU above its
+        bound, and it moves with the last bits of training. Summing the
+        masked token log-likelihoods with one np.sum instead of step by
+        step read 88.87; also running the output heads once over all
+        stacked steps read 87.30. Two epochs of either variant on the
+        benchmark's training configs left parameters within 2.1e-14 of
+        these. A change that moves training bits has to rerun this
+        criterion; its seed and bound stay as they are."""
         ds1 = synth_generate(1, 0, image_dim=24, place_dim=8, questions_per=1)
         cfg1 = config_from_dict({
             "cues": ["image", "caption", "tag"], "enc_dim": 12, "embed_dim": 8,
@@ -375,6 +386,7 @@ class TestAcceptance:
               f"with exact greedy; 50-example train BLEU-1 "
               f"{report.bleu[1]:.1f} >= 90 in {elapsed:.0f}s (< 300s)")
 
+    @pytest.mark.slow
     def test_criterion_6_variance_ordering_across_variants(self):
         """Mean normalized encoding variance over a common Bernoulli(0.3)
         probe, averaged over 5 training seeds: 3-cue moderator < 2-cue
@@ -421,6 +433,7 @@ class TestAcceptance:
               f"{means['mixture3']:.3f} (mixture, no dropout) "
               f"over 5 seeds ({elapsed:.0f}s)")
 
+    @pytest.mark.slow
     def test_criterion_7_cue_ablation_ordering(self):
         """Held-out BLEU-1 means over 5 seeds: the 4-cue moderator with MC
         decisions >= the 3-cue model >= the best single-cue model, and MC

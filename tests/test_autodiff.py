@@ -1,5 +1,6 @@
 """Tensor core: op forward values against hand arithmetic, gradients against
-central finite differences, and the dropout/softmax contracts."""
+central finite differences, and the dropout/softmax contracts; the row ops
+are checked against numpy references."""
 
 import numpy as np
 import pytest
@@ -102,13 +103,15 @@ class TestForwardValues:
         for x in cases:
             assert ad._sigmoid(x).tobytes() == two_branch(x).tobytes()
 
-    def test_log_domain(self):
-        with pytest.raises(ValueError):
-            ad.log(Tensor([1.0, 0.0]))
-
     def test_sqrt_domain(self):
-        with pytest.raises(ValueError):
-            ad.sqrt(Tensor([-1.0]))
+        # the square root of the variances lives in lrt_sample
+        with pytest.raises(ValueError, match="nonnegative"):
+            ad.lrt_sample(Tensor([[0.0]]), Tensor([[-1.0]]), np.zeros((1, 1)))
+
+
+def _np_softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 class TestSoftmax:
@@ -116,24 +119,24 @@ class TestSoftmax:
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(1, 8))
-            x = Tensor(rng.uniform(-1e3, 1e3, n))
-            p, lse = ad.softmax_logsumexp(x)
+            x = Tensor(rng.uniform(-1e3, 1e3, (1, n)))
+            p, lse = ad.row_softmax(x), ad.row_logsumexp(x)
             assert np.all(p.data >= 0)
             assert abs(p.data.sum() - 1.0) <= 1e-12
-            assert np.isfinite(lse.item())
+            assert np.isfinite(lse.data).all()
 
     def test_shift_invariance_of_argmax(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            x = rng.normal(size=6) * 100
-            p1 = ad.softmax(Tensor(x)).data
-            p2 = ad.softmax(Tensor(x + 123.456)).data
+            x = rng.normal(size=(1, 6)) * 100
+            p1 = ad.row_softmax(Tensor(x)).data
+            p2 = ad.row_softmax(Tensor(x + 123.456)).data
             assert np.argmax(p1) == np.argmax(p2)
             assert np.allclose(p1, p2, atol=1e-12)
 
     def test_logsumexp_value(self):
-        x = np.array([1.0, 2.0, 3.0])
-        got = ad.logsumexp(Tensor(x)).item()
+        x = np.array([[1.0, 2.0, 3.0]])
+        got = ad.row_logsumexp(Tensor(x)).item()
         assert np.isclose(got, np.log(np.exp(x).sum()), rtol=1e-12)
 
     def test_row_variants_match_vector_ops(self):
@@ -142,15 +145,38 @@ class TestSoftmax:
         p = ad.row_softmax(Tensor(x)).data
         l = ad.row_logsumexp(Tensor(x)).data
         for b in range(4):
-            assert np.allclose(p[b], ad.softmax(Tensor(x[b])).data, atol=1e-14)
-            assert np.isclose(l[b], ad.logsumexp(Tensor(x[b])).item(), rtol=1e-14)
+            assert np.allclose(p[b], _np_softmax(x[b]), atol=1e-14)
+            assert np.isclose(l[b], np.log(np.exp(x[b]).sum()), rtol=1e-14)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.softmax(Tensor(np.zeros(0)))
+        for op in (ad.row_softmax, ad.row_logsumexp):
+            with pytest.raises(ShapeError):
+                op(Tensor(np.zeros((2, 0))))
 
 
 class TestBackward:
+    def test_first_gradient_is_a_copy_not_an_alias(self):
+        # add hands the same upstream gradient to both inputs; later
+        # gradients must land in one input's buffer only
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        g = np.array([1.0, -0.0])
+        with Tape() as tape:
+            s = ad.add(a, b)
+            loss = ad.sum_all(ad.add(ad.add(ad.mul(s, Tensor([0.5, 0.5])),
+                                            ad.scale(a, 2.0)), ad.scale(b, -3.0)))
+        tape.backward(loss)
+        np.testing.assert_array_equal(a.grad, [2.5, 2.5])
+        np.testing.assert_array_equal(b.grad, [-2.5, -2.5])
+        ad._accum(a, g)
+        np.testing.assert_array_equal(b.grad, [-2.5, -2.5])
+        assert a.grad is not b.grad
+        c = Tensor([0.0, 0.0], requires_grad=True)
+        ad._accum(c, g)
+        assert c.grad is not g and np.signbit(c.grad[1])
+        g[0] = 9.0
+        assert c.grad[0] == 1.0
+
     def test_dot_product_gradient(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
         run_backward(lambda: ad.sum_all(ad.mul(x, x)))
@@ -269,7 +295,7 @@ class TestStructuralOps:
 
         def build():
             a = ad.slice_cols(x, 1, 4)
-            b = ad.tile_rows(a, 2)
+            b = ad.concat([a, a], axis=0)
             d = ad.row_softmax(b)
             e = ad.gather_cols(x, ids)
             return ad.add(ad.sum_all(d), ad.sum_all(ad.mul(e, e)))
@@ -323,16 +349,109 @@ class TestStructuralOps:
         out = ad.log_mean_exp_rows(x)
         assert np.array_equal(out.data, row)
 
-    def test_reverse_grad(self):
-        x = Tensor([1.0, -2.0], requires_grad=True)
+    def test_concat_rows_and_cols(self):
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
+        rows = ad.concat([a, b], axis=0)
+        np.testing.assert_array_equal(rows.data, np.vstack([a.data, b.data]))
+        cols = ad.concat([a, c], axis=1)
+        np.testing.assert_array_equal(cols.data, np.hstack([a.data, c.data]))
+        w = Tensor(rng.normal(size=(5, 3)))
+
+        def f():
+            stacked = ad.concat([a, b, a], axis=0)
+            return ad.sum_all(ad.tanh(ad.mul(stacked, w)))
+
+        assert ad.grad_check(f, [a, b]) <= 1e-6
+        assert ad.grad_check(lambda: ad.sum_all(ad.tanh(ad.concat([c, a], axis=1))),
+                             [a, c]) <= 1e-6
+        for parts, axis in (([a, c], 0), ([a, b], 1), ([], 0), ([a], 2)):
+            with pytest.raises(ShapeError):
+                ad.concat(parts, axis=axis)
+
+
+def _np_old_masked_sum(x, mask):
+    """The per-step reduction the loss used to record one node at a time."""
+    batch, steps = mask.shape
+    total = None
+    for t in range(steps):
+        term = (x[t * batch:(t + 1) * batch] * mask[:, t]).sum()
+        total = term if total is None else total + term
+    return total
+
+
+class TestMaskedStepSum:
+    def test_bitwise_equal_to_per_step_sums(self):
+        rng = np.random.default_rng(10)
+        for batch, steps in ((1, 1), (1, 7), (3, 4), (16, 15), (25, 9)):
+            x = rng.normal(size=batch * steps) * 10 ** rng.uniform(-3, 3, batch * steps)
+            mask = (rng.uniform(size=(batch, steps)) < 0.7).astype(float)
+            got = ad.masked_step_sum(Tensor(x), mask)
+            assert got.data.tobytes() == _np_old_masked_sum(x, mask).tobytes()
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=12), requires_grad=True)
+        mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=float)
+        assert ad.grad_check(lambda: ad.masked_step_sum(ad.tanh(x), mask), [x]) <= 1e-6
+        x.zero_grad()
+        run_backward(lambda: ad.scale(ad.masked_step_sum(x, mask), 2.0))
+        np.testing.assert_array_equal(x.grad, 2.0 * mask.T.reshape(-1))
+
+    def test_shape_error(self):
+        with pytest.raises(ShapeError):
+            ad.masked_step_sum(Tensor(np.zeros(5)), np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            ad.masked_step_sum(Tensor(np.zeros(6)), np.ones(6))
+
+
+class TestLrtSample:
+    def _inputs(self, seed=12, rows=3, cols=4, reps=5):
+        rng = np.random.default_rng(seed)
+        y = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+        v = Tensor(rng.uniform(0.1, 2.0, (rows, cols)), requires_grad=True)
+        return y, v, rng.normal(size=(reps * rows, cols))
+
+    def test_values_bitwise_equal_to_tiled_formula(self):
+        y, v, eps = self._inputs()
+        ref = np.tile(y.data, (5, 1)) + eps * np.tile(np.sqrt(v.data), (5, 1))
+        assert ad.lrt_sample(y, v, eps).data.tobytes() == ref.tobytes()
+
+    def test_zero_variance_returns_tiled_logits(self):
+        y, _, eps = self._inputs()
+        out = ad.lrt_sample(y, Tensor(np.zeros(y.shape)), eps)
+        assert out.data.tobytes() == np.tile(y.data, (5, 1)).tobytes()
+
+    def test_grad_check(self):
+        y, v, eps = self._inputs()
+        w = np.random.default_rng(13).normal(size=eps.shape)
+
+        def f():
+            return ad.sum_all(ad.tanh(ad.mul(ad.lrt_sample(y, v, eps), Tensor(w))))
+
+        assert ad.grad_check(f, [y, v]) <= 1e-6
+
+    def test_one_tape_node(self):
+        y, v, eps = self._inputs()
         with Tape() as tape:
-            y = ad.reverse_grad(x, 2.5)
-            loss = ad.sum_all(ad.mul(y, y))
-        assert np.array_equal(y.data, x.data)
-        tape.backward(loss)
-        assert np.allclose(x.grad, -2.5 * 2 * x.data)
-        with pytest.raises(ValueError):
-            ad.reverse_grad(x, -0.1)
+            ad.lrt_sample(y, v, eps)
+        assert len(tape) == 1
+
+    def test_errors(self):
+        y, v, eps = self._inputs()
+        for bad in (eps[:-1], eps[:, :-1], eps.reshape(-1), np.zeros((0, 4))):
+            with pytest.raises(ShapeError):
+                ad.lrt_sample(y, v, bad)
+        with pytest.raises(ShapeError):
+            ad.lrt_sample(y, Tensor(np.ones((3, 3))), eps)
+        with pytest.raises(ShapeError):
+            ad.lrt_sample(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), eps)
+        negative = v.data.copy()
+        negative[1, 2] = -1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            ad.lrt_sample(y, Tensor(negative), eps)
 
 
 class TestDropout:
@@ -362,8 +481,8 @@ class TestDropout:
     def test_fixed_mask_reused_exactly(self):
         x = Tensor(np.ones((3, 4)))
         mask = ad.dropout_mask((3, 4), 0.5, "bernoulli", RngStream(13))
-        a = ad.dropout(x, 0.5, "bernoulli", mask)
-        b = ad.dropout(x, 0.5, "bernoulli", mask)
+        a = ad.dropout(x, 0.5, "bernoulli", RngStream(13))
+        b = ad.dropout(x, 0.5, "bernoulli", RngStream(13))
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.data, mask)
 
@@ -376,7 +495,7 @@ class TestDropout:
     def test_backward_scales_by_mask(self):
         x = Tensor(np.ones(6), requires_grad=True)
         mask = ad.dropout_mask((6,), 0.5, "bernoulli", RngStream(14))
-        run_backward(lambda: ad.sum_all(ad.dropout(x, 0.5, "bernoulli", mask)))
+        run_backward(lambda: ad.sum_all(ad.dropout(x, 0.5, "bernoulli", RngStream(14))))
         assert np.array_equal(x.grad, mask)
 
 

@@ -1,6 +1,7 @@
 """Decoder tests: teacher forcing against a hand-rolled numpy LSTM,
-likelihood losses and their exact degeneracies, the distorted uncertainty
-loss, encoding refinement, and greedy / Monte-Carlo generation."""
+likelihood losses against a per-step numpy reference and their exact
+degeneracies, the distorted uncertainty loss, encoding refinement, and
+greedy / Monte-Carlo generation."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from mcvqg.autodiff import ShapeError, Tape, Tensor, grad_check
 from mcvqg.data import BOS, EOS, PAD
 from mcvqg.decoder import (Decoder, MumcConfig, aleatoric_mc_loss,
                            decode_teacher_forced, distorted_loss, gen_loss,
-                           generate_greedy, generate_mc, lrt_sample,
-                           mumc_refine, targets_and_mask, total_loss)
+                           generate_greedy, generate_mc, mumc_refine,
+                           targets_and_mask)
 from mcvqg.nn import EmbeddingTable
 from mcvqg.rng import RngStream
 
@@ -66,6 +67,45 @@ def _np_teacher_forced(dec, g_enc, gold):
     return logits, variances
 
 
+def _stacked(steps):
+    """Per-step (B, V) arrays as one time-major tensor, row t*B + b."""
+    return Tensor(np.concatenate(steps, axis=0))
+
+
+def _np_log_likelihoods(y, targets):
+    m = y.max(axis=1)
+    return y[np.arange(len(targets)), targets] - (m + np.log(np.exp(y - m[:, None]).sum(axis=1)))
+
+
+def _np_neg_masked_mean(step_values, mask):
+    """The per-step reduction: sum each step's masked (B,) values, add the
+    step sums in step order, and divide by the token count."""
+    total = None
+    for t, vals in enumerate(step_values):
+        term = (vals * mask[:, t]).sum()
+        total = term if total is None else total + term
+    return total * (-1.0 / float(mask.sum()))
+
+
+def _np_gen_loss(logits, targets, mask):
+    return _np_neg_masked_mean(
+        [_np_log_likelihoods(y, targets[:, t]) for t, y in enumerate(logits)], mask)
+
+
+def _np_aleatoric_loss(logits, variances, targets, mask, T, rng):
+    """One step at a time: T tiled copies of the step's logits under its
+    own (T*B, V) noise draw, and a log-mean-exp over the T draws."""
+    batch = targets.shape[0]
+    steps = []
+    for t, (y, v) in enumerate(zip(logits, variances)):
+        eps = rng.child(("eps", t)).normal((T * batch, y.shape[1]))
+        y_hat = np.tile(y, (T, 1)) + eps * np.tile(np.sqrt(v), (T, 1))
+        lp = _np_log_likelihoods(y_hat, np.tile(targets[:, t], T)).reshape(T, batch)
+        m = lp.max(axis=0)
+        steps.append(m + np.log(np.exp(lp - m[None, :]).sum(axis=0) / T))
+    return _np_neg_masked_mean(steps, mask)
+
+
 class TestTeacherForcing:
     def test_matches_numpy_replica(self):
         dec = _decoder()
@@ -73,19 +113,20 @@ class TestTeacherForcing:
         g = RngStream(3).normal((3, ENC))
         logits, variances = decode_teacher_forced(dec, Tensor(g), gold, stochastic=False)
         ref_logits, ref_vars = _np_teacher_forced(dec, g, gold)
-        assert len(logits) == gold.shape[1] - 1
-        for y, ref in zip(logits, ref_logits):
-            np.testing.assert_allclose(y.data, ref, rtol=0, atol=1e-12)
-        for v, ref in zip(variances, ref_vars):
-            np.testing.assert_allclose(v.data, ref, rtol=0, atol=1e-12)
-            assert np.all(v.data > 0)
+        steps = gold.shape[1] - 1
+        assert logits.shape == variances.shape == (steps * 3, VOCAB)
+        for y, ref in zip(np.split(logits.data, steps), ref_logits):
+            np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12)
+        for v, ref in zip(np.split(variances.data, steps), ref_vars):
+            np.testing.assert_allclose(v, ref, rtol=0, atol=1e-12)
+            assert np.all(v > 0)
 
     def test_encoding_reaches_first_step(self):
         dec = _decoder()
         gold = _gold()
         a, _ = decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), gold, stochastic=False)
         b, _ = decode_teacher_forced(dec, Tensor(np.ones((3, ENC))), gold, stochastic=False)
-        assert np.abs(a[0].data - b[0].data).max() > 1e-6
+        assert np.abs(a.data[:3] - b.data[:3]).max() > 1e-6
 
     def test_gold_must_begin_with_bos(self):
         dec = _decoder()
@@ -117,20 +158,19 @@ class TestTeacherForcing:
         masks = dec.cell.sample_masks(3, RngStream(8), stochastic=True)
         a, _ = decode_teacher_forced(dec, g, gold, masks=masks)
         b, _ = decode_teacher_forced(dec, g, gold, masks=masks)
-        for ya, yb in zip(a, b):
-            np.testing.assert_array_equal(ya.data, yb.data)
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestGenerationLoss:
     def test_uniform_logits_cost_log_vocab(self):
         targets, mask = targets_and_mask(_gold())
-        logits = [Tensor(np.zeros((3, VOCAB))) for _ in range(targets.shape[1])]
+        logits = Tensor(np.zeros((3 * targets.shape[1], VOCAB)))
         loss = gen_loss(logits, targets, mask)
         np.testing.assert_allclose(loss.item(), np.log(float(VOCAB)), rtol=1e-14, atol=0)
 
     def test_hand_computed_single_step(self):
         y = np.array([[0.2, -1.0, 0.5]])
-        loss = gen_loss([Tensor(y)], np.array([[2]]), np.ones((1, 1)))
+        loss = gen_loss(Tensor(y), np.array([[2]]), np.ones((1, 1)))
         expected = -(y[0, 2] - np.log(np.exp(y[0]).sum()))
         np.testing.assert_allclose(loss.item(), expected, rtol=0, atol=1e-12)
 
@@ -144,7 +184,7 @@ class TestGenerationLoss:
         # recombine per-example losses weighted by their token counts
         acc, count = 0.0, 0.0
         for i in range(3):
-            row_logits = [Tensor(y.data[i:i + 1]) for y in logits]
+            row_logits = Tensor(logits.data[i::3])
             row_loss = gen_loss(row_logits, targets[i:i + 1], mask[i:i + 1])
             acc += row_loss.item() * mask[i].sum()
             count += mask[i].sum()
@@ -152,25 +192,34 @@ class TestGenerationLoss:
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="mask"):
-            gen_loss([Tensor(np.zeros((1, VOCAB)))], np.array([[PAD]]), np.zeros((1, 1)))
+            gen_loss(Tensor(np.zeros((1, VOCAB))), np.array([[PAD]]), np.zeros((1, 1)))
+
+    def test_bitwise_equal_to_per_step_reference(self):
+        dec = _decoder()
+        gold = _gold()
+        logits, _ = decode_teacher_forced(dec, Tensor(RngStream(4).normal((3, ENC))), gold,
+                                          stochastic=False)
+        targets, mask = targets_and_mask(gold)
+        ref = _np_gen_loss(np.split(logits.data, targets.shape[1]), targets, mask)
+        assert gen_loss(logits, targets, mask).data.tobytes() == ref.tobytes()
 
 
 class TestAleatoricLoss:
     def test_lrt_sample_formula(self):
         y = Tensor(np.array([[1.0, 2.0]]))
-        sigma = Tensor(np.array([[0.5, 2.0]]))
+        variance = Tensor(np.array([[0.25, 4.0]]))     # sigma = 0.5, 2.0
         eps = np.array([[1.0, -1.0]])
-        np.testing.assert_array_equal(lrt_sample(y, sigma, eps).data, [[1.5, 0.0]])
+        np.testing.assert_array_equal(ad.lrt_sample(y, variance, eps).data, [[1.5, 0.0]])
 
     def test_lrt_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            lrt_sample(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), np.zeros((2, 3)))
+            ad.lrt_sample(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), np.zeros((3, 3)))
 
     def test_zero_variance_equals_plain_loss_bitwise(self):
         targets, mask = targets_and_mask(_gold())
         rng = RngStream(21)
-        logits = [Tensor(rng.child(t).normal((3, VOCAB))) for t in range(targets.shape[1])]
-        variances = [Tensor(np.zeros((3, VOCAB))) for _ in logits]
+        logits = _stacked([rng.child(t).normal((3, VOCAB)) for t in range(targets.shape[1])])
+        variances = Tensor(np.zeros(logits.shape))
         plain = gen_loss(logits, targets, mask)
         mc = aleatoric_mc_loss(logits, variances, targets, mask, T=7, rng=RngStream(5))
         assert mc.item() == plain.item()
@@ -178,8 +227,8 @@ class TestAleatoricLoss:
     def test_same_stream_reproducible(self):
         targets, mask = targets_and_mask(_gold())
         rng = RngStream(21)
-        logits = [Tensor(rng.child(t).normal((3, VOCAB))) for t in range(targets.shape[1])]
-        variances = [Tensor(np.full((3, VOCAB), 0.4)) for _ in logits]
+        logits = _stacked([rng.child(t).normal((3, VOCAB)) for t in range(targets.shape[1])])
+        variances = Tensor(np.full(logits.shape, 0.4))
         a = aleatoric_mc_loss(logits, variances, targets, mask, T=5, rng=RngStream(5))
         b = aleatoric_mc_loss(logits, variances, targets, mask, T=5, rng=RngStream(5))
         c = aleatoric_mc_loss(logits, variances, targets, mask, T=5, rng=RngStream(6))
@@ -189,16 +238,48 @@ class TestAleatoricLoss:
     def test_noise_moves_the_loss(self):
         targets, mask = targets_and_mask(_gold())
         rng = RngStream(21)
-        logits = [Tensor(rng.child(t).normal((3, VOCAB))) for t in range(targets.shape[1])]
+        logits = _stacked([rng.child(t).normal((3, VOCAB)) for t in range(targets.shape[1])])
         plain = gen_loss(logits, targets, mask)
-        big = [Tensor(np.full((3, VOCAB), 4.0)) for _ in logits]
+        big = Tensor(np.full(logits.shape, 4.0))
         mc = aleatoric_mc_loss(logits, big, targets, mask, T=5, rng=RngStream(5))
         assert abs(mc.item() - plain.item()) > 1e-3
 
     def test_needs_at_least_one_sample(self):
         targets, mask = targets_and_mask(_gold())
         with pytest.raises(ValueError, match="T >= 1"):
-            aleatoric_mc_loss([], [], targets, mask, T=0, rng=RngStream(1))
+            logits = Tensor(np.zeros((3 * targets.shape[1], VOCAB)))
+            aleatoric_mc_loss(logits, logits, targets, mask, T=0, rng=RngStream(1))
+
+    def test_bitwise_equal_to_per_step_reference(self):
+        dec = _decoder(p=0.4)
+        gold = _gold()
+        masks = dec.cell.sample_masks(3, RngStream(8), stochastic=True)
+        logits, variances = decode_teacher_forced(dec, Tensor(RngStream(4).normal((3, ENC))),
+                                                  gold, masks=masks)
+        targets, mask = targets_and_mask(gold)
+        steps = targets.shape[1]
+        for T in (1, 3):
+            got = aleatoric_mc_loss(logits, variances, targets, mask, T=T, rng=RngStream(5))
+            ref = _np_aleatoric_loss(np.split(logits.data, steps),
+                                     np.split(variances.data, steps), targets, mask, T,
+                                     RngStream(5))
+            assert got.data.tobytes() == ref.tobytes()
+
+    def test_loss_nodes_do_not_grow_with_length(self):
+        dec = _decoder(p=0.4)
+        counts = set()
+        for length in (3, 5, 9):
+            gold = np.full((2, length), 4, dtype=np.int64)
+            gold[:, 0], gold[:, -1] = BOS, EOS
+            targets, mask = targets_and_mask(gold)
+            g = Tensor(RngStream(4).normal((2, ENC)), requires_grad=True)
+            with Tape() as tape:
+                logits, variances = decode_teacher_forced(dec, g, gold, rng=RngStream(8))
+                decode_nodes = len(tape)
+                gen_loss(logits, targets, mask)
+                aleatoric_mc_loss(logits, variances, targets, mask, T=3, rng=RngStream(5))
+            counts.add(len(tape) - decode_nodes)
+        assert counts == {13}
 
 
 class TestDistortedLoss:
@@ -281,10 +362,6 @@ class TestRefinement:
             return ad.sum_all(ad.tanh(mumc_refine(g, mus, grad, gamma=0.7)))
 
         assert grad_check(f, params) <= 1e-6
-
-    def test_total_loss_combination(self):
-        t = total_loss(Tensor(np.asarray(1.5)), Tensor(np.asarray(0.25)), 2.0)
-        assert t.item() == 2.0
 
     def test_config_validation(self):
         MumcConfig().validate()
@@ -464,7 +541,7 @@ class TestMcGeneration:
         g = RngStream(3).normal((1, ENC))
         samples, stats, unc = generate_mc(dec, lambda r: Tensor(np.tile(g, (5, 1))),
                                           T=5, max_len=6, rng=RngStream(9))
-        assert stats.count == 5 and not stats.degenerate
+        assert stats.count == 5
         assert stats.variance.max() > 0
         assert unc["epistemic"] > 0
         assert unc["aleatoric"] > 0
@@ -487,6 +564,6 @@ class TestMcGeneration:
         g = RngStream(3).normal((1, ENC))
         _, stats, unc = generate_mc(dec, lambda r: Tensor(np.tile(g, (1, 1))),
                                     T=1, max_len=6, rng=RngStream(9))
-        assert stats.degenerate
+        assert stats.count == 1
         assert np.all(stats.variance == 0.0)
         assert unc["epistemic"] == 0.0

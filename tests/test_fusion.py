@@ -168,13 +168,6 @@ class TestModerator:
         pi_sharp, _ = mod.gate(mus, feats, stochastic=False)
         assert pi_sharp.data.max(axis=1).mean() > pi_t1.data.max(axis=1).mean()
 
-    def test_raw_basis_override(self):
-        mod, mus, feats = self._setup()
-        raw = {c: Tensor(np.ones_like(m.data)) for c, m in mus.items()}
-        pi, order = mod.gate(mus, feats, stochastic=False, basis=raw)
-        # identical basis rows give uniform weights
-        assert np.allclose(pi.data, 1.0 / 3.0, atol=1e-12)
-
 
 class TestMixEncoding:
     def test_convex_combination(self):
