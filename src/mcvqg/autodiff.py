@@ -7,11 +7,11 @@ separate named operations so that shape bugs surface as errors instead of
 silent broadcasting. Values are checked finite on construction, which makes
 NaN/Inf an error at the op that produced it.
 
-A `Tape` records one forward pass while active (`with Tape() as t:`) and is
-consumed by a single `backward` call; the next forward pass gets a fresh
-tape. Gradients accumulate on every requires_grad tensor touched by the
-sweep — leaves and intermediates alike — which is what lets the two-pass
-refinement scheme read d(loss)/d(mixed encoding) off an interior node.
+A `Tape` records ops while active (`with Tape() as t:`, resumed by `with t:`)
+and may be swept by `backward` more than once. Each sweep first clears the
+gradients of the tape's node outputs, so an interior gradient holds the
+latest sweep while leaves keep accumulating: the MUMC step reads d(loss)/
+d(mixed encoding) off an interior node, extends the tape and sweeps again.
 
 Most ops record one node per output tensor. A fused op may record one node
 for several outputs: `lstm_step` returns (h', c') as a single two-output
@@ -95,11 +95,12 @@ def active_tape():
 
 
 class Tape:
-    """Ordered record of one forward pass, confined to one thread.
+    """Ordered record of a forward computation, confined to one thread.
 
-    Reset rule: `backward` may run once per tape; afterwards the tape is
-    closed and both recording and a second backward raise. Build a new tape
-    per forward pass (the two-pass refinement builds two tapes per step).
+    Reset rule: each `backward` sets `grad = None` on every recorded node
+    output (each output of a tuple node too), then seeds the loss and sweeps.
+    Leaves are never node outputs, so their gradients accumulate across
+    sweeps. Recording may resume after a sweep (`with tape:`).
 
     A node is (output, backward_fn) or, for a multi-output op, (tuple of
     outputs, backward_fn). The sweep calls a single-output node's backward
@@ -110,7 +111,6 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
-        self._closed = False
 
     def __enter__(self):
         _stack().append(self)
@@ -127,20 +127,18 @@ class Tape:
         return len(self._nodes)
 
     def _record(self, out, backward_fn):
-        if self._closed:
-            raise RuntimeError("tape already consumed by backward()")
         self._nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor):
-        """Seed d(loss)=1 and sweep the tape once in reverse topological
-        order, accumulating gradients onto every requires_grad tensor."""
-        if self._closed:
-            raise RuntimeError("tape already consumed by backward()")
+        """Clear the node outputs' gradients, seed d(loss)=1 and sweep once in
+        reverse topological order, accumulating onto every requires_grad tensor."""
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not loss.requires_grad:
             raise RuntimeError("backward on a detached graph: loss does not require grad")
-        self._closed = True
+        for out, _ in self._nodes:
+            for o in (out if type(out) is tuple else (out,)):
+                o.grad = None
         loss.grad = np.ones_like(loss.data)
         for out, backward_fn in reversed(self._nodes):
             if type(out) is tuple:

@@ -14,8 +14,8 @@ import sys
 
 from .config import (RunConfig, apply_overrides, config_from_dict, load_config,
                      save_config)
-from .data import DEFAULT_FEATURE_DIM, DEFAULT_NOISE, EOS, load_dataset, \
-    save_dataset, synth_generate
+from .data import DEFAULT_FEATURE_DIM, DEFAULT_NOISE, EOS, atomic_write, \
+    load_dataset, save_dataset, synth_generate
 from .nn import load_checkpoint, restore_params
 from .rng import RngStream
 from .train import (TrainingDiverged, build_model, evaluate_model, split_indices,
@@ -120,9 +120,9 @@ def cmd_eval(args) -> int:
                                      decision_mode=args.decision)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.csv"), "w") as fh:
+        with atomic_write(os.path.join(args.out, "report.csv")) as fh:
             fh.write(report.to_csv())
-        with open(os.path.join(args.out, "generations.jsonl"), "w") as fh:
+        with atomic_write(os.path.join(args.out, "generations.jsonl")) as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     for name, value in report.score_rows():
@@ -142,7 +142,7 @@ def cmd_sample(args) -> int:
     _, records = evaluate_model(model, dataset, range(count), cfg=report_cfg,
                                 decision_mode="mc", rng=rng)
     vocab = dataset.vocab
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         for rec in records:
             fh.write(json.dumps({
                 "id": rec["id"],
@@ -168,7 +168,7 @@ def cmd_variance(args) -> int:
                                    sample_rate=args.rate)
     except ValueError as e:
         raise CliError("USAGE_INVALID", str(e)) from e
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write(variance_csv(records))
     mean_nv = sum(r.normalized_variance for r in records) / len(records)
     print(f"wrote {len(records)} variance rows to {args.out} "
@@ -230,7 +230,7 @@ def cmd_sweep(args) -> int:
         save_config(os.path.join(run_dir, "config.json"), cfg)
         eval_idx = result.val_indices if result.val_indices else result.train_indices
         report, _ = evaluate_model(result.model, dataset, eval_idx, cfg=cfg)
-        with open(os.path.join(run_dir, "report.csv"), "w") as fh:
+        with atomic_write(os.path.join(run_dir, "report.csv")) as fh:
             fh.write(report.to_csv())
         scores = ",".join(f"{report.bleu[n]:.6f}" for n in range(1, 5))
         summary.append(f"{name}," +
@@ -238,7 +238,7 @@ def cmd_sweep(args) -> int:
                        f",{scores},{report.rouge_l:.6f},{report.cider:.6f}")
         print(f"{name}: bleu1 {report.bleu[1]:.2f} rouge {report.rouge_l:.2f} "
               f"cider {report.cider:.2f}")
-    with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
+    with atomic_write(os.path.join(args.out, "sweep.csv")) as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"wrote {len(combos)} runs to {args.out}")
     return 0

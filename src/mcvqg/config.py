@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cues import CUE_NAMES
+from .data import atomic_write
 from .decoder import MumcConfig
 from .model import COMBINERS
 
@@ -89,10 +90,6 @@ class RunConfig:
         if self.optimizer.epochs < 1 or self.optimizer.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
         self.mumc.validate()
-        if self.mumc.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.mumc.alpha}")
-        if self.mumc.uncertainty_weight < 0:
-            raise ValueError("uncertainty weight must be nonnegative")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError("validation fraction must be in [0, 1)")
         if self.decision_mode not in DECISION_MODES:
@@ -150,7 +147,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(path, cfg: RunConfig):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

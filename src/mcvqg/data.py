@@ -1,4 +1,4 @@
-"""Synthetic scene corpus and the JSONL dataset format.
+"""Synthetic scene corpus, the JSONL dataset format, and atomic file writes.
 
 Scenes come from a closed grammar (places x subjects x verbs, plus objects
 and attributes that only the image feature carries), captions and questions
@@ -7,6 +7,8 @@ are rendered from fixed templates, and every bundle is a pure function of
 """
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,10 +254,31 @@ def synth_generate(n: int, seed: int, image_dim: int = DEFAULT_FEATURE_DIM,
 
 
 # ---------------------------------------------------------------------------
+# artifact files
+
+@contextmanager
+def atomic_write(path):
+    """Open `path` for writing text, all or nothing: the block writes a temp
+    file in the same directory, which replaces `path` (os.replace) only when
+    the block finishes. If the block raises, `path` keeps its old bytes and
+    the temp file is removed."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # JSONL dataset files: one header record, then one record per bundle
 
 def save_dataset(path, ds: Dataset):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         header = {
             "vocab": list(ds.vocab.tokens),
             "image_dim": ds.image_dim,

@@ -35,6 +35,10 @@ class MumcConfig:
             raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.uncertainty_weight < 0:
+            raise ValueError("uncertainty weight must be nonnegative")
 
 
 class Decoder:

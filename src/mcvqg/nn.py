@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import atomic_write
 from .rng import RngStream
 
 
@@ -231,7 +232,7 @@ def save_checkpoint(path, params: dict, meta: dict = None):
             for name, t in params.items()
         },
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
 
 

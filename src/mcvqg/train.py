@@ -1,11 +1,11 @@
 """Training and evaluation harness.
 
-The MUMC training step runs two decoding passes per batch: pass 1 computes
-the plain and aleatoric losses, backpropagates the distorted uncertainty
-loss, and reads the gradient at the mixed encoding; pass 2 rebuilds the
-forward computation under the same dropout draws, refines the encoding with
-the reversed, cue-weighted gradient, and backpropagates the refined
-cross-entropy. Parameter gradients from the two passes accumulate (the
+The MUMC training step encodes a batch once and decodes it twice on one
+tape: pass 1 computes the plain and aleatoric losses, sweeps the distorted
+uncertainty loss, and reads the gradient at the mixed encoding; pass 2
+refines that encoding with the reversed, cue-weighted gradient, decodes it
+under the same dropout masks, and sweeps the refined cross-entropy through
+the shared encoder. Parameter gradients from the two sweeps accumulate (the
 uncertainty term scaled by its loss weight) and one optimizer step follows.
 
 Everything is driven by counter-based RNG streams, so a (config, seed) pair
@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Tape
 from .config import RunConfig, config_to_dict
-from .data import Dataset
+from .data import Dataset, atomic_write
 from .decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
                       gen_loss, generate_greedy, generate_mc, mumc_refine,
                       targets_and_mask)
@@ -108,34 +108,31 @@ def run_step(model: MultiCueModel, batch: Batch, cfg: RunConfig,
     """Accumulate gradients for one batch; returns the step's loss parts.
 
     The caller zeroes gradients before and applies the optimizer after.
-    Pass 2 re-derives every dropout draw from the same child streams as
-    pass 1, so the refined decode differs only through the refinement term.
+    One tape holds the step: it is swept for the uncertainty loss, then
+    extended by the refinement and second decode of the same encoding and
+    swept again for the refined loss.
     """
     targets, mask = targets_and_mask(batch.gold)
     masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"),
                                             stochastic=True)
+    with Tape() as tape:
+        enc = model.encode(batch, rng.child("enc"), stochastic=True)
+        logits, variances = decode_teacher_forced(model.decoder, enc.g_enc,
+                                                  batch.gold, masks=masks)
+        l_plain = gen_loss(logits, targets, mask)
     if not cfg.mumc_enabled:
-        with Tape() as tape:
-            enc = model.encode(batch, rng.child("enc"), stochastic=True)
-            logits, _ = decode_teacher_forced(model.decoder, enc.g_enc,
-                                              batch.gold, masks=masks)
-            loss = gen_loss(logits, targets, mask)
-        tape.backward(loss)
-        value = loss.item()
+        tape.backward(l_plain)
+        value = l_plain.item()
         return {"total": value, "l_gen": value, "l_u": 0.0, "l_aleatoric": value}
 
     mumc = cfg.mumc
-    with Tape() as tape1:
-        enc1 = model.encode(batch, rng.child("enc"), stochastic=True)
-        logits, variances = decode_teacher_forced(model.decoder, enc1.g_enc,
-                                                  batch.gold, masks=masks)
-        l_plain = gen_loss(logits, targets, mask)
+    with tape:
         l_alea = aleatoric_mc_loss(logits, variances, targets, mask,
                                    T=mumc.mc_samples, rng=rng.child("lrt"))
         l_u = distorted_loss(l_plain, l_alea, mumc.alpha)
-    tape1.backward(l_u)
-    grad_enc = enc1.g_enc.grad
-    grad_enc = np.zeros_like(enc1.g_enc.data) if grad_enc is None else grad_enc.copy()
+    tape.backward(l_u)
+    grad_enc = enc.g_enc.grad
+    grad_enc = np.zeros_like(enc.g_enc.data) if grad_enc is None else grad_enc.copy()
     # the refinement consumes the raw uncertainty gradient; the parameter
     # gradients carry the loss weight
     lam = mumc.uncertainty_weight
@@ -143,13 +140,12 @@ def run_step(model: MultiCueModel, batch: Batch, cfg: RunConfig,
         if p.grad is not None:
             p.grad *= lam
 
-    with Tape() as tape2:
-        enc2 = model.encode(batch, rng.child("enc"), stochastic=True)
-        refined = mumc_refine(enc2.g_enc, enc2.mus, grad_enc, mumc.gamma)
+    with tape:
+        refined = mumc_refine(enc.g_enc, enc.mus, grad_enc, mumc.gamma)
         logits2, _ = decode_teacher_forced(model.decoder, refined,
                                            batch.gold, masks=masks)
         l_gen = gen_loss(logits2, targets, mask)
-    tape2.backward(l_gen)
+    tape.backward(l_gen)
     return {"total": l_gen.item() + lam * l_u.item(), "l_gen": l_gen.item(),
             "l_u": l_u.item(), "l_aleatoric": l_alea.item(),
             "l_plain": l_plain.item()}
@@ -289,7 +285,7 @@ def train_and_save(cfg: RunConfig, dataset: Dataset, out_dir: str,
             "best_val_loss": result.best_val_loss}
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
                     result.model.named_params(), meta=meta)
-    with open(os.path.join(out_dir, "curve.csv"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, "curve.csv")) as fh:
         fh.write(curve_to_csv(result.curve))
     return result
 

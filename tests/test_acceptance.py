@@ -22,9 +22,9 @@ The pytest -v row is the pass/fail line per criterion; each test also prints
 one `[criterion N] PASS` line with its measurements (visible with -s).
 Criteria 5-7 retrain small models and carry the `slow` marker, so
 `pytest -m "not slow"` skips them; their time depends on the machine (about
-116-119 s, 148-151 s and 109-121 s, some 6.5 minutes together, on a 2-core
-machine with Python 3.11 and numpy 2.4, where criterion 1 took 4.7-7.0 s
-of its 10 s bound). Everything else finishes in seconds.
+89-97 s, 115-124 s and 94 s, some 5 minutes together, on a 2-core machine
+with Python 3.11 and numpy 2.4, where criterion 1 took 5.0-5.8 s of its
+10 s bound). Everything else finishes in seconds.
 """
 
 import json

@@ -211,13 +211,95 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             tape.backward(y)
 
-    def test_tape_single_use(self):
-        x = Tensor([1.0], requires_grad=True)
+    def test_leaf_grad_sums_both_sweeps(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
         with Tape() as tape:
-            y = ad.sum_all(x)
-        tape.backward(y)
-        with pytest.raises(RuntimeError):
-            tape.backward(y)
+            mid = ad.mul(x, x)
+            first = ad.sum_all(mid)
+        tape.backward(first)
+        with tape:
+            second = ad.sum_all(ad.scale(mid, 3.0))
+        tape.backward(second)
+        np.testing.assert_array_equal(x.grad, 2 * x.data + 3.0 * 2 * x.data)
+
+    def test_interior_grad_holds_only_the_latest_sweep(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            mid = ad.mul(x, x)
+            first = ad.sum_all(ad.mul(mid, mid))
+        tape.backward(first)
+        np.testing.assert_array_equal(mid.grad, 2 * mid.data)
+        with tape:
+            second = ad.sum_all(ad.scale(mid, 5.0))
+        tape.backward(second)
+        np.testing.assert_array_equal(mid.grad, [5.0, 5.0])
+        assert first.grad is None
+
+    def test_node_used_before_the_first_sweep_does_not_propagate_again(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        calls = []
+
+        def backward_fn(g):
+            calls.append(g)
+            ad._accum(x, 2.0 * g)
+
+        with Tape() as tape:
+            side = Tensor(2.0 * x.data, requires_grad=True)
+            tape._record(side, backward_fn)
+            first = ad.sum_all(side)
+        tape.backward(first)
+        assert len(calls) == 1
+        with tape:
+            second = ad.sum_all(ad.scale(x, 7.0))
+        tape.backward(second)
+        assert len(calls) == 1 and side.grad is None
+        np.testing.assert_array_equal(x.grad, [9.0, 9.0])
+
+    def test_tuple_node_outputs_are_cleared(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        wx = Tensor(rng.normal(size=(3, 16)), requires_grad=True)
+        wh = Tensor(rng.normal(size=(4, 16)), requires_grad=True)
+        b = Tensor(np.zeros(16), requires_grad=True)
+        with Tape() as tape:
+            h2, c2 = ad.lstm_step(x, h, c, wx, wh, b)
+            first = ad.add(ad.sum_all(h2), ad.sum_all(c2))
+        tape.backward(first)
+        assert h2.grad is not None and c2.grad is not None
+        with tape:
+            second = ad.sum_all(ad.scale(h2, 2.0))
+        tape.backward(second)
+        np.testing.assert_array_equal(h2.grad, np.full((2, 4), 2.0))
+        assert c2.grad is None
+
+    def test_second_sweep_matches_a_fresh_tape(self):
+        # h's gradient after two sweeps is the first sweep's plus the second
+        # loss's gradient taken on a tape of its own
+        rng = np.random.default_rng(6)
+        data = [rng.normal(size=s) for s in ((2, 3), (2, 4), (2, 4), (3, 16), (4, 16))]
+
+        def leaves():
+            return [Tensor(d, requires_grad=True) for d in data] + [
+                Tensor(np.zeros(16), requires_grad=True)]
+
+        shared = leaves()
+        with Tape() as tape:
+            h2, c2 = ad.lstm_step(*shared)
+            first = ad.sum_all(ad.mul(c2, c2))
+        tape.backward(first)
+        g_first = [t.grad.copy() for t in shared]
+        with tape:
+            second = ad.sum_all(ad.mul(h2, h2))
+        tape.backward(second)
+        alone = leaves()
+        with Tape() as fresh:
+            h3, _ = ad.lstm_step(*alone)
+            loss = ad.sum_all(ad.mul(h3, h3))
+        fresh.backward(loss)
+        for t, g1, ref in zip(shared, g_first, alone):
+            np.testing.assert_allclose(t.grad, g1 + ref.grad, rtol=1e-12, atol=1e-14)
 
     def test_no_recording_outside_tape(self):
         x = Tensor([1.0], requires_grad=True)

@@ -7,8 +7,8 @@ import pytest
 
 import mcvqg.data as D
 from mcvqg.data import (BOS, EOS, PAD, UNK, CueBundle, Dataset, TagSet,
-                        Vocabulary, extract_tags, load_dataset, save_dataset,
-                        synth_generate)
+                        Vocabulary, atomic_write, extract_tags, load_dataset,
+                        save_dataset, synth_generate)
 
 
 class TestVocabulary:
@@ -224,3 +224,48 @@ class TestDatasetIO:
         lines[1] = json.dumps(rec)
         with pytest.raises(ValueError, match="line 2"):
             load_dataset(self._write(tmp_path, lines))
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_when_the_block_finishes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_writer_raising_mid_write_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == b"a,b\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            with atomic_write(tmp_path / "new.jsonl") as fh:
+                fh.write("{")
+                raise ValueError("bad record")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            with atomic_write(tmp_path / "absent" / "x.csv") as fh:
+                fh.write("x")
+
+    def test_save_dataset_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        save_dataset(path, synth_generate(3, 1))
+        before = path.read_bytes()
+        bad = synth_generate(3, 2)
+        monkeypatch.setattr(bad.bundles[2], "caption", [object()])
+        with pytest.raises(TypeError):
+            save_dataset(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]

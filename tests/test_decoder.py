@@ -369,6 +369,10 @@ class TestRefinement:
             MumcConfig(mc_samples=0).validate()
         with pytest.raises(ValueError, match="gamma"):
             MumcConfig(gamma=-1.0).validate()
+        with pytest.raises(ValueError, match="alpha"):
+            MumcConfig(alpha=0.0).validate()
+        with pytest.raises(ValueError, match="uncertainty weight"):
+            MumcConfig(uncertainty_weight=-0.5).validate()
 
 
 class TestEndToEndGradients:

@@ -354,3 +354,14 @@ class TestCheckpoint:
         path.write_text("{}")
         with pytest.raises(ValueError):
             nn.load_checkpoint(path)
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.json"
+        nn.save_checkpoint(path, {"w": Tensor(np.ones((2, 3)), requires_grad=True)})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            # the params are written before json meets the unserializable meta
+            nn.save_checkpoint(path, {"w": Tensor(np.zeros((2, 3)))},
+                               meta={"z": object()})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]

@@ -1,12 +1,16 @@
-"""Tests for the training harness: the two-pass uncertainty step, the epoch
-loop, evaluation, and the variance analysis."""
+"""Tests for the training harness: the two-pass uncertainty step (one
+encode, one tape swept twice), the epoch loop, evaluation, and the variance
+analysis."""
 
 import numpy as np
 import pytest
 
+from mcvqg.autodiff import Tape
 from mcvqg.config import RunConfig, config_from_dict
 from mcvqg.data import EOS, synth_generate
-from mcvqg.model import make_batch
+from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
+                           gen_loss, mumc_refine, targets_and_mask)
+from mcvqg.model import MultiCueModel, make_batch
 from mcvqg.nn import load_checkpoint, restore_params
 from mcvqg.rng import RngStream
 from mcvqg.train import (TrainingDiverged, build_model, curve_to_csv,
@@ -30,11 +34,11 @@ def tiny_config(**overrides) -> RunConfig:
     return config_from_dict(data)
 
 
-def capture_grads(model, batch, cfg, seed=17):
+def capture_grads(model, batch, cfg, seed=17, step=run_step):
     params = model.named_params()
     for p in params.values():
         p.zero_grad()
-    losses = run_step(model, batch, cfg, RngStream(seed).child("step"))
+    losses = step(model, batch, cfg, RngStream(seed).child("step"))
     grads = {k: (None if p.grad is None else p.grad.copy())
              for k, p in params.items()}
     return losses, grads
@@ -77,8 +81,8 @@ class TestRunStep:
         assert all(g is not None for g in grads.values())
 
     def test_frozen_noise_gamma_zero_reproduces_plain_loss(self):
-        # pass 2 re-derives the dropout draws of pass 1, so an inert
-        # refinement must reproduce the plain cross-entropy bitwise
+        # pass 2 decodes pass 1's encoding under the same dropout masks, so
+        # an inert refinement must reproduce the plain cross-entropy bitwise
         cfg = tiny_config(mumc={"mc_samples": 3, "gamma": 0.0})
         model = build_model(cfg, DS)
         losses, _ = capture_grads(model, make_batch(DS, range(4)), cfg)
@@ -151,6 +155,97 @@ class TestRunStep:
         losses, _ = capture_grads(model, make_batch(DS, range(3)), cfg)
         assert losses["l_u"] == 0.0
         assert losses["total"] == losses["l_gen"]
+
+
+def two_encode_step(model, batch, cfg, rng):
+    """The step as it was built before one tape could be swept twice: pass 2
+    re-encodes under the same streams on a second tape. Kept as the
+    reference that the one-encode `run_step` must match bit for bit."""
+    targets, mask = targets_and_mask(batch.gold)
+    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"),
+                                            stochastic=True)
+    if not cfg.mumc_enabled:
+        with Tape() as tape:
+            enc = model.encode(batch, rng.child("enc"), stochastic=True)
+            logits, _ = decode_teacher_forced(model.decoder, enc.g_enc,
+                                              batch.gold, masks=masks)
+            loss = gen_loss(logits, targets, mask)
+        tape.backward(loss)
+        value = loss.item()
+        return {"total": value, "l_gen": value, "l_u": 0.0, "l_aleatoric": value}
+    mumc = cfg.mumc
+    with Tape() as tape1:
+        enc1 = model.encode(batch, rng.child("enc"), stochastic=True)
+        logits, variances = decode_teacher_forced(model.decoder, enc1.g_enc,
+                                                  batch.gold, masks=masks)
+        l_plain = gen_loss(logits, targets, mask)
+        l_alea = aleatoric_mc_loss(logits, variances, targets, mask,
+                                   T=mumc.mc_samples, rng=rng.child("lrt"))
+        l_u = distorted_loss(l_plain, l_alea, mumc.alpha)
+    tape1.backward(l_u)
+    grad_enc = enc1.g_enc.grad
+    grad_enc = np.zeros_like(enc1.g_enc.data) if grad_enc is None else grad_enc.copy()
+    lam = mumc.uncertainty_weight
+    for p in model.named_params().values():
+        if p.grad is not None:
+            p.grad *= lam
+    with Tape() as tape2:
+        enc2 = model.encode(batch, rng.child("enc"), stochastic=True)
+        refined = mumc_refine(enc2.g_enc, enc2.mus, grad_enc, mumc.gamma)
+        logits2, _ = decode_teacher_forced(model.decoder, refined,
+                                           batch.gold, masks=masks)
+        l_gen = gen_loss(logits2, targets, mask)
+    tape2.backward(l_gen)
+    return {"total": l_gen.item() + lam * l_u.item(), "l_gen": l_gen.item(),
+            "l_u": l_u.item(), "l_aleatoric": l_alea.item(),
+            "l_plain": l_plain.item()}
+
+
+ALL_CUES = ["image", "place", "caption", "tag"]
+STEP_CONFIGS = {
+    "default": {"image_dim": IMAGE_DIM, "place_dim": PLACE_DIM},
+    "weighted": {"mumc": {"mc_samples": 3, "uncertainty_weight": 0.5,
+                          "gamma": 0.7, "alpha": 2.0}},
+    "mumc-off": {"mumc_enabled": False},
+    "single-cue": {"cues": ["caption"]},
+    "mixture": {"cues": ALL_CUES, "combiner": "mixture"},
+    "gaussian-per-category": {"cues": ALL_CUES, "per_category_tags": True,
+                              "dropout": {"kind": "gaussian", "rate": 0.3}},
+}
+
+
+class TestOneEncodeStep:
+    @pytest.mark.parametrize("name", sorted(STEP_CONFIGS))
+    def test_bitwise_equal_to_the_two_encode_step(self, name):
+        overrides = STEP_CONFIGS[name]
+        cfg = (config_from_dict(overrides) if name == "default"
+               else tiny_config(**overrides))
+        model = build_model(cfg, DS)
+        batch = make_batch(DS, range(4))
+        losses, grads = capture_grads(model, batch, cfg, seed=11)
+        ref_losses, ref_grads = capture_grads(model, batch, cfg, seed=11,
+                                              step=two_encode_step)
+        assert losses == ref_losses
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert (grads[key] is None) == (ref_grads[key] is None), key
+            if grads[key] is not None:
+                assert grads[key].tobytes() == ref_grads[key].tobytes(), key
+
+    @pytest.mark.parametrize("mumc_enabled", [True, False])
+    def test_one_encode_per_step(self, mumc_enabled, monkeypatch):
+        cfg = tiny_config(mumc_enabled=mumc_enabled)
+        model = build_model(cfg, DS)
+        calls = []
+        original = MultiCueModel.encode
+
+        def counting_encode(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiCueModel, "encode", counting_encode)
+        capture_grads(model, make_batch(DS, range(4)), cfg)
+        assert len(calls) == 1
 
 
 class TestOptimizers:
