@@ -73,6 +73,13 @@ def _restore_model(cfg, dataset, checkpoint_path):
         restore_params(model.named_params(), arrays)
     except ValueError as e:
         raise CliError("CHECKPOINT_INVALID", str(e)) from e
+    # a checkpoint written before the fingerprint existed restores unchecked
+    fingerprint = meta.get("vocab_fingerprint")
+    if fingerprint is not None and fingerprint != dataset.vocab.fingerprint():
+        raise CliError("CHECKPOINT_INVALID",
+                       f"checkpoint {checkpoint_path} was trained on another "
+                       f"vocabulary than dataset {cfg.dataset}: the token ids "
+                       f"would decode to the wrong words")
     return model, meta
 
 

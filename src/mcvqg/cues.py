@@ -13,12 +13,10 @@ from .nn import BayesianLSTMCell, BayesianMLP, EmbeddingTable
 from .rng import RngStream
 
 CUE_NAMES = ("image", "place", "caption", "tag")
-FUSED_CUES = ("place", "caption", "tag")
 
 
 def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.ndarray,
-                   lengths: np.ndarray = None, rng: RngStream = None,
-                   stochastic: bool = True) -> Tensor:
+                   lengths: np.ndarray = None, rng: RngStream = None) -> Tensor:
     """Final hidden state over the caption tokens; `ids` is (B, L) with PAD
     right-padding and `lengths` the true lengths (padded steps leave the
     state untouched)."""
@@ -30,13 +28,12 @@ def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.nd
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=np.int64)
         step_mask = (np.arange(ids.shape[1])[None, :] < lengths[:, None]).astype(np.float64)
-    _, final = cell.sequence(inputs, rng=rng, stochastic=stochastic, step_mask=step_mask)
+    _, final = cell.sequence(inputs, rng=rng, step_mask=step_mask)
     return final
 
 
 def encode_tags(cell: BayesianLSTMCell, embedding: EmbeddingTable, tag_ids: np.ndarray,
-                rng: RngStream = None, stochastic: bool = True,
-                per_category: bool = False) -> Tensor:
+                rng: RngStream = None, per_category: bool = False) -> Tensor:
     """Final hidden state over the 15-token tag sequence (noun||verb||question).
     With per_category=True each 5-token category runs separately through the
     cell and the three final states are averaged."""
@@ -45,10 +42,10 @@ def encode_tags(cell: BayesianLSTMCell, embedding: EmbeddingTable, tag_ids: np.n
         raise ValueError(f"tag ids must be (B, {3 * TAG_SLOTS}), got {tag_ids.shape}")
     if not per_category:
         inputs = [embedding.lookup(tag_ids[:, t]) for t in range(tag_ids.shape[1])]
-        _, final = cell.sequence(inputs, rng=rng, stochastic=stochastic)
+        _, final = cell.sequence(inputs, rng=rng)
         return final
     batch = tag_ids.shape[0]
-    masks = cell.sample_masks(batch, rng, stochastic)
+    masks = cell.sample_masks(batch, rng)
     finals = []
     for c in range(3):
         block = tag_ids[:, c * TAG_SLOTS:(c + 1) * TAG_SLOTS]
@@ -91,25 +88,23 @@ class CueEncoders:
             self.tag_cell = BayesianLSTMCell(embed_dim, hidden_dim, p, kind,
                                              rng.child("tag_cell"))
 
-    def encode(self, batch, rng: RngStream = None, stochastic: bool = True) -> dict:
+    def encode(self, batch, rng: RngStream = None) -> dict:
         """batch carries .image (B,Di), .place (B,Dp), .caption_ids (B,L),
-        .caption_lengths (B,), .tag_ids (B,15); returns cue -> (B,d)."""
+        .caption_lengths (B,), .tag_ids (B,15); returns cue -> (B,d).
+        Dropout is on exactly when `rng` is given."""
         sub = (lambda tag: rng.child(tag)) if rng is not None else (lambda tag: None)
         out = {}
         if self.image_net is not None:
-            out["image"] = self.image_net.forward(Tensor(batch.image), sub("image"),
-                                                  stochastic)
+            out["image"] = self.image_net.forward(Tensor(batch.image), sub("image"))
         if self.place_net is not None:
-            out["place"] = self.place_net.forward(Tensor(batch.place), sub("place"),
-                                                  stochastic)
+            out["place"] = self.place_net.forward(Tensor(batch.place), sub("place"))
         if self.caption_cell is not None:
             out["caption"] = encode_caption(self.caption_cell, self.embedding,
                                             batch.caption_ids, batch.caption_lengths,
-                                            sub("caption"), stochastic)
+                                            sub("caption"))
         if self.tag_cell is not None:
             out["tag"] = encode_tags(self.tag_cell, self.embedding, batch.tag_ids,
-                                     sub("tag"), stochastic,
-                                     per_category=self.per_category_tags)
+                                     sub("tag"), per_category=self.per_category_tags)
         return out
 
     def named_params(self, prefix: str = "enc"):

@@ -6,6 +6,7 @@ are rendered from fixed templates, and every bundle is a pure function of
 (seed, index) via counter-based child streams.
 """
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -104,6 +105,11 @@ class Vocabulary:
     @property
     def tokens(self):
         return tuple(self._tokens)
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the token list in id order: two vocabularies share it
+        exactly when every id names the same token."""
+        return hashlib.sha256(json.dumps(self._tokens).encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -108,16 +108,16 @@ def targets_and_mask(gold: np.ndarray):
 
 
 def decode_teacher_forced(dec: Decoder, g_enc: Tensor, gold: np.ndarray,
-                          rng: RngStream = None, stochastic: bool = True,
-                          masks=None):
+                          rng: RngStream = None, masks=None):
     """Step -1 consumes the encoding, step t the embedding of gold[t]; the
     hidden state after gold[t] scores gold[t+1]. The heads run once per
-    step. Returns (logits, variances), each one time-major ((L-1)*B, V)
+    step. Dropout masks are `masks` if given, else drawn from `rng`, else
+    off. Returns (logits, variances), each one time-major ((L-1)*B, V)
     tensor: row t*B + b is step t of example b."""
     gold = check_gold(gold)
     batch, length = gold.shape
     if masks is None:
-        masks = dec.cell.sample_masks(batch, rng.child("cell") if rng else None, stochastic)
+        masks = dec.cell.sample_masks(batch, rng.child("cell") if rng else None)
     h, c = dec.cell.initial_state(batch)
     x = dec.project_encoding(g_enc)
     h, c = dec.cell.step(x, h, c, masks)
@@ -284,17 +284,16 @@ def _question(com: _Committee) -> QuestionSample:
 
 
 def generate_greedy(dec: Decoder, g_enc: Tensor, max_len: int = 16,
-                    rng: RngStream = None, stochastic: bool = False,
-                    masks=None) -> QuestionSample:
+                    rng: RngStream = None, masks=None) -> QuestionSample:
     """Argmax decoding (ties resolve to the lowest token id) until EOS or
-    max_len tokens: the free-running decode of a committee of one.
-    Stochastic mode draws one mask set for the whole sequence."""
+    max_len tokens: the free-running decode of a committee of one. Given a
+    stream and no masks, it draws one mask set for the whole sequence."""
     with ad.no_grad():
         batch = g_enc.data.shape[0]
         if batch != 1:
             raise ad.ShapeError(f"generate_greedy decodes one example, got batch {batch}")
         if masks is None:
-            masks = dec.cell.sample_masks(1, rng.child("cell") if rng else None, stochastic)
+            masks = dec.cell.sample_masks(1, rng.child("cell") if rng else None)
         com, = _decode_committees(dec, _start(dec, g_enc, masks), masks, 1, max_len)
         return _question(com)
 
@@ -327,7 +326,7 @@ def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,
         if g_enc.data.shape[0] != T:
             raise ad.ShapeError(f"generate_mc: encoding {g_enc.data.shape} needs "
                                 f"one row per sample (T={T})")
-        masks = dec.cell.sample_masks(T, rows.child("dec"), stochastic=True)
+        masks = dec.cell.sample_masks(T, rows.child("dec"))
         state = _start(dec, g_enc, masks)
         samples = [_question(com) for com in
                    _decode_committees(dec, state, masks, 1, max_len)]

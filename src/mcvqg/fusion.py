@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import BayesianMLP, init_bias, init_matrix
+from .nn import BayesianMLP, _wants_dropout, init_bias, init_matrix
 from .rng import RngStream
 
 SIMPLEX_TOL = 1e-9
@@ -44,23 +44,21 @@ class CueFusion:
             else:
                 self.w_out[cue] = init_matrix(dim, dim, rng.child(("w_out", cue)))
 
-    def fuse(self, cue: str, g_img: Tensor, g_cue: Tensor, rng: RngStream = None,
-             stochastic: bool = True) -> Tensor:
-        """mu_B for one cue; dropout sits before the output projection."""
+    def fuse(self, cue: str, g_img: Tensor, g_cue: Tensor,
+             rng: RngStream = None) -> Tensor:
+        """mu_B for one cue; dropout, on exactly when `rng` is given, sits
+        before the output projection."""
         if cue not in self.w_cue:
             raise ValueError(f"cue {cue!r} not configured for fusion")
         joint = ad.mul(ad.matmul(g_img, self.w_img), ad.matmul(g_cue, self.w_cue[cue]))
         h = ad.tanh(ad.add_rowvec(joint, self.bias[cue]))
-        if stochastic and self.p > 0 and self.kind != "none":
-            if rng is None:
-                raise ValueError("stochastic fusion needs an RngStream")
+        if _wants_dropout(self.p, self.kind, rng):
             h = ad.dropout(h, self.p, self.kind, rng.child(("fuse", cue)))
         return ad.matmul(h, self.w_out[cue])
 
-    def fuse_all(self, encoded: dict, rng: RngStream = None,
-                 stochastic: bool = True) -> dict:
+    def fuse_all(self, encoded: dict, rng: RngStream = None) -> dict:
         g_img = encoded["image"]
-        return {cue: self.fuse(cue, g_img, encoded[cue], rng, stochastic)
+        return {cue: self.fuse(cue, g_img, encoded[cue], rng)
                 for cue in self.cues if cue in encoded}
 
     def named_params(self, prefix: str = "fusion"):
@@ -86,15 +84,14 @@ class Moderator:
         self.temperature = float(temperature)
         self.gate_net = BayesianMLP([image_dim, dim, dim], p, kind, rng.child("gate_net"))
 
-    def gate(self, mus: dict, image_feats: Tensor, rng: RngStream = None,
-             stochastic: bool = True):
+    def gate(self, mus: dict, image_feats: Tensor, rng: RngStream = None):
         """Returns (pi (B,k), cue order); the scores are taken against the
-        fused embeddings themselves."""
+        fused embeddings themselves. The gate net's dropout is on exactly
+        when `rng` is given."""
         order = tuple(mus.keys())
         if not order:
             raise ValueError("moderator needs at least one active cue")
-        g_gat = self.gate_net.forward(image_feats, rng=rng.child("gate") if rng else None,
-                                      stochastic=stochastic)
+        g_gat = self.gate_net.forward(image_feats, rng.child("gate") if rng else None)
         cols = []
         for cue in order:
             s = ad.dot_rows(mus[cue], g_gat)

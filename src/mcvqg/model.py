@@ -130,17 +130,20 @@ class MultiCueModel:
 
     def encode(self, batch: Batch, rng: RngStream = None,
                stochastic: bool = True) -> FusedEncoding:
+        """One encoding pass, stochastic exactly when it is given a stream.
+        stochastic=False drops the stream, for callers that pass both."""
+        if not stochastic:
+            rng = None
         sub = (lambda tag: rng.child(tag)) if rng is not None else (lambda tag: None)
-        g_cues = self.encoders.encode(batch, sub("encoders"), stochastic)
+        g_cues = self.encoders.encode(batch, sub("encoders"))
         if len(self.cues) == 1:
             only = self.cues[0]
             g = g_cues[only]
             pi = Tensor(np.ones((g.data.shape[0], 1)))
             return FusedEncoding(g_cues=g_cues, mus={}, pi=pi, order=(only,), g_enc=g)
-        mus = self.fusion.fuse_all(g_cues, sub("fusion"), stochastic)
+        mus = self.fusion.fuse_all(g_cues, sub("fusion"))
         if self.moderator is not None:
-            pi, order = self.moderator.gate(mus, Tensor(batch.image),
-                                            sub("moderator"), stochastic)
+            pi, order = self.moderator.gate(mus, Tensor(batch.image), sub("moderator"))
             g_enc = mix_encoding(pi, mus, order)
         else:
             order = tuple(mus.keys())

@@ -1,10 +1,11 @@
 """Bayesian building blocks: MC-dropout MLPs, variational LSTM cells,
 embedding tables, Monte-Carlo predictive statistics, and checkpoint I/O.
 
-"Stochastic" mode keeps dropout active (each call is one posterior sample);
-"deterministic" mode disables it. LSTM dropout is variational: the four gate
-masks and the output mask are drawn once per sequence and reused at every
-timestep.
+A pass is stochastic exactly when it is given an `RngStream`: dropout is
+then active and each call is one posterior sample. Without a stream, dropout
+is off and the pass is deterministic. LSTM dropout is variational: the four
+gate masks and the output mask are drawn once per sequence and reused at
+every timestep.
 """
 
 import json
@@ -28,16 +29,17 @@ def init_bias(n: int) -> Tensor:
     return Tensor(np.zeros(n), requires_grad=True)
 
 
-def _wants_dropout(p: float, kind: str, stochastic: bool) -> bool:
-    return stochastic and p > 0.0 and kind != "none"
+def _wants_dropout(p: float, kind: str, rng: RngStream) -> bool:
+    return rng is not None and p > 0.0 and kind != "none"
 
 
 class BayesianMLP:
     """Linear stack with a dropout applied before every layer.
 
     tanh between layers, linear output. p=0 (or kind "none") collapses to a
-    plain deterministic MLP; two stochastic calls with equal RngStream state
-    produce identical outputs (masks are counter-derived).
+    plain deterministic MLP, and so does a call without a stream; two calls
+    with equal RngStream state produce identical outputs (masks are
+    counter-derived).
     """
 
     def __init__(self, widths, p: float, kind: str, rng: RngStream):
@@ -54,12 +56,10 @@ class BayesianMLP:
             self.weights.append(init_matrix(a, b, rng.child(("w", i))))
             self.biases.append(init_bias(b))
 
-    def forward(self, x: Tensor, rng: RngStream = None, stochastic: bool = True) -> Tensor:
+    def forward(self, x: Tensor, rng: RngStream = None) -> Tensor:
         if x.shape[-1] != self.widths[0]:
             raise ad.ShapeError(f"mlp: input {x.shape} does not match width {self.widths[0]}")
-        use_dropout = _wants_dropout(self.p, self.kind, stochastic)
-        if use_dropout and rng is None:
-            raise ValueError("stochastic forward needs an RngStream")
+        use_dropout = _wants_dropout(self.p, self.kind, rng)
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -105,12 +105,9 @@ class BayesianLSTMCell:
         # forget gate starts open so early-step inputs survive to later steps
         self.b.data[h:2 * h] = 1.0
 
-    def sample_masks(self, batch: int, rng: RngStream = None,
-                     stochastic: bool = True) -> LstmMasks:
-        if not _wants_dropout(self.p, self.kind, stochastic):
+    def sample_masks(self, batch: int, rng: RngStream = None) -> LstmMasks:
+        if not _wants_dropout(self.p, self.kind, rng):
             return LstmMasks(None, None)
-        if rng is None:
-            raise ValueError("stochastic masks need an RngStream")
         h = self.hidden_size
         return LstmMasks(
             gates=ad.dropout_mask((batch, 4 * h), self.p, self.kind, rng.child("gates")),
@@ -126,8 +123,8 @@ class BayesianLSTMCell:
         z = np.zeros((batch, self.hidden_size))
         return Tensor(z), Tensor(z.copy())
 
-    def sequence(self, inputs, rng: RngStream = None, stochastic: bool = True,
-                 masks: LstmMasks = None, state=None, step_mask=None):
+    def sequence(self, inputs, rng: RngStream = None, masks: LstmMasks = None,
+                 step_mask=None):
         """Run the cell over a list of (B, input) tensors with one mask draw.
 
         step_mask: optional (B, T) 0/1 array; steps flagged 0 leave (h, c)
@@ -140,8 +137,8 @@ class BayesianLSTMCell:
             raise ValueError("lstm sequence: empty input")
         batch = inputs[0].shape[0]
         if masks is None:
-            masks = self.sample_masks(batch, rng, stochastic)
-        h, c = state if state is not None else self.initial_state(batch)
+            masks = self.sample_masks(batch, rng)
+        h, c = self.initial_state(batch)
         outputs = []
         for t, x in enumerate(inputs):
             keep = None if step_mask is None else step_mask[:, t:t + 1]
@@ -197,11 +194,11 @@ def mc_statistics(samples: np.ndarray) -> McStatistics:
 def mc_predict(f, T: int, rng: RngStream) -> McStatistics:
     """Run stochastic `f` once for all T samples and summarize.
 
-    f(rows) gets rows = rng.rows(T) and returns the T samples concatenated
-    along axis 0, typically by running on T stacked copies of its input:
-    every draw from `rows` gives sample t's block of rows what rng.child(t)
-    alone would draw, so sample t sees the same masks whatever T is and in
-    whatever order the samples are taken. Floats can differ from T separate
+    f(rows) gets the T-id stream rows = rng.rows(T) and returns the T
+    samples concatenated along axis 0, typically by running on T stacked
+    copies of its input: every draw from `rows` gives sample t's block of
+    rows what rng.child(t) alone would draw, so sample t sees the same
+    masks whatever T is and in whatever order the samples are taken. Floats can differ from T separate
     runs in the last bits, because a batched matrix product may sum in
     another order.
     """
@@ -246,7 +243,10 @@ def load_checkpoint(path):
     for name, rec in payload["params"].items():
         arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
         arrays[name] = arr
-    return arrays, payload.get("meta", {})
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint meta is not a JSON object: {path}")
+    return arrays, meta
 
 
 def restore_params(params: dict, arrays: dict):

@@ -1,4 +1,10 @@
-"""Counter-based random streams for reproducible stochastic passes."""
+"""Counter-based random streams for reproducible stochastic passes.
+
+A pass is stochastic exactly when it is given a stream: the model's
+components take an optional `RngStream` and keep dropout off without one.
+A stream carries one id, or n ids from `rows(n)` when n Monte-Carlo samples
+run as the n row blocks of one batch.
+"""
 
 import functools
 import hashlib
@@ -32,104 +38,103 @@ def _text_to_int(text: str) -> int:
 class RngStream:
     """Splittable counter-based random stream (Philox under the hood).
 
-    Every draw is fully determined by (seed, stream, counter): replaying a
-    stream with the same state replays its draws bitwise, and sibling streams
-    derived via `child` are statistically independent, so Monte-Carlo samples
-    can be produced in any order without changing their values. Each draw
-    call occupies its own counter block, so the sizes of earlier draws never
-    shift later ones.
+    Every draw is fully determined by (seed, stream id, counter): replaying
+    a stream with the same state replays its draws bitwise, and sibling
+    streams derived via `child` are statistically independent, so
+    Monte-Carlo samples can be produced in any order without changing their
+    values. Each draw call occupies its own counter block, so the sizes of
+    earlier draws never shift later ones.
+
+    A stream from `rows(n)` holds the n ids of child(0) .. child(n - 1) and
+    one shared counter. Its `child` derives the tag on every id, and a
+    uniform or normal draw whose leading extent is k * n splits into n
+    contiguous blocks of k rows: block t equals, bit for bit, what id t
+    draws for k rows alone. A model run on n stacked copies of an input
+    therefore sees sample t's masks exactly as a run on child(t) would. Any
+    other leading extent raises `ShapeError`.
     """
 
-    __slots__ = ("seed", "stream", "counter")
+    __slots__ = ("seed", "streams", "counter")
 
     def __init__(self, seed: int, stream: int = 0, counter: int = 0):
         self.seed = int(seed) & _MASK64
-        self.stream = int(stream) & _MASK64
+        self.streams = (int(stream) & _MASK64,)
         self.counter = int(counter)
+
+    def _derive(self, streams) -> "RngStream":
+        out = object.__new__(RngStream)
+        out.seed = self.seed
+        out.streams = tuple(streams)
+        out.counter = 0
+        return out
+
+    @property
+    def stream(self) -> int:
+        """The id of a one-id stream."""
+        if len(self.streams) != 1:
+            raise TypeError(f"a stream of {len(self.streams)} ids has no single id")
+        return self.streams[0]
 
     def child(self, tag) -> "RngStream":
         """Derive an independent stream; same (parent, tag) -> same child."""
-        mixed = _splitmix64(self.stream ^ _splitmix64(_tag_to_int(tag)))
-        return RngStream(self.seed, mixed)
+        mix = _splitmix64(_tag_to_int(tag))
+        return self._derive([_splitmix64(s ^ mix) for s in self.streams])
 
-    def rows(self, count: int) -> "RowStreams":
-        """The streams child(0) .. child(count - 1) drawn as one batch.
-
-        Sample t of a Monte-Carlo batch owns block t of the rows, and every
-        draw gives that block exactly what child(t) draws alone.
-        """
+    def rows(self, count: int) -> "RngStream":
+        """The ids of child(0) .. child(count - 1) as one stream: sample t
+        of a Monte-Carlo batch owns block t of the rows of every draw."""
         if count < 1:
             raise ValueError(f"rows needs count >= 1, got {count}")
-        return RowStreams([self.child(t) for t in range(count)])
+        stream = self.stream
+        return self._derive([_splitmix64(stream ^ _splitmix64(t)) for t in range(count)])
 
     def state(self):
         return (self.seed, self.stream, self.counter)
 
-    def _generator(self) -> np.random.Generator:
-        bits = np.random.Philox(key=[self.seed, self.stream],
-                                counter=[0, self.counter, 0, 0])
+    def _generators(self) -> list:
+        """A fresh generator per id, all on this call's counter block."""
+        counter = [0, self.counter, 0, 0]
         self.counter += 1
-        return np.random.Generator(bits)
+        # the key stays a list of Python ints: numpy makes an id >= 2**63
+        # float64 there, and changing that would move every draw on it
+        return [np.random.Generator(np.random.Philox(key=[self.seed, s], counter=counter))
+                for s in self.streams]
 
-    def uniform(self, shape=()):
-        """Uniform float64 draws on [0, 1)."""
-        return self._generator().random(shape)
+    def _one_generator(self) -> np.random.Generator:
+        if len(self.streams) != 1:
+            raise TypeError("a stream of several ids draws only uniform and normal arrays")
+        return self._generators()[0]
 
-    def normal(self, shape=()):
-        """Standard normal float64 draws."""
-        return self._generator().standard_normal(shape)
-
-    def integers(self, low: int, high: int, shape=()):
-        """Integer draws on [low, high)."""
-        return self._generator().integers(low, high, size=shape)
-
-    def shuffled(self, seq):
-        """A shuffled copy of `seq` (the stream advances by one draw call)."""
-        out = list(seq)
-        self._generator().shuffle(out)
-        return out
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream={self.stream}, counter={self.counter})"
-
-
-class RowStreams(RngStream):
-    """T sibling streams stacked along the batch axis.
-
-    A draw whose leading extent is k * T splits into T contiguous blocks of k
-    rows, and block t equals, bit for bit, what stream t draws for a batch of
-    k alone: one row per Monte-Carlo sample when k = 1. `child` derives the
-    same tag on every stream, so a model run on T stacked copies of an input
-    sees each sample's masks exactly as T separate runs on stream t would.
-    Any other leading extent raises `ShapeError`.
-    """
-
-    __slots__ = ("streams",)
-
-    def __init__(self, streams):
-        self.streams = tuple(streams)
-
-    def child(self, tag) -> "RowStreams":
-        return RowStreams([s.child(tag) for s in self.streams])
-
-    def _stack(self, draw: str, shape):
-        shape = tuple(shape)
+    def _draw(self, method, shape):
         count = len(self.streams)
+        if count == 1:
+            return method(self._generators()[0], shape)
+        shape = tuple(shape)
         if not shape or shape[0] % count:
             from .autodiff import ShapeError  # autodiff imports this module
             raise ShapeError(f"row-stacked draw of shape {shape}: the leading "
                              f"extent must be a multiple of {count} rows")
         block = (shape[0] // count,) + shape[1:]
-        return np.concatenate([getattr(s, draw)(block) for s in self.streams])
+        return np.concatenate([method(g, block) for g in self._generators()])
 
     def uniform(self, shape=()):
-        return self._stack("uniform", shape)
+        """Uniform float64 draws on [0, 1)."""
+        return self._draw(np.random.Generator.random, shape)
 
     def normal(self, shape=()):
-        return self._stack("normal", shape)
+        """Standard normal float64 draws."""
+        return self._draw(np.random.Generator.standard_normal, shape)
 
-    def _generator(self):
-        raise TypeError("row-stacked streams draw only uniform and normal arrays")
+    def integers(self, low: int, high: int, shape=()):
+        """Integer draws on [low, high); one-id streams only."""
+        return self._one_generator().integers(low, high, size=shape)
+
+    def shuffled(self, seq):
+        """A shuffled copy of `seq` (the stream advances by one draw call);
+        one-id streams only."""
+        out = list(seq)
+        self._one_generator().shuffle(out)
+        return out
 
     def __repr__(self):
-        return f"RowStreams({len(self.streams)} rows, first={self.streams[0]!r})"
+        return f"RngStream(seed={self.seed}, streams={self.streams}, counter={self.counter})"

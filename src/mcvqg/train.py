@@ -113,10 +113,9 @@ def run_step(model: MultiCueModel, batch: Batch, cfg: RunConfig,
     swept again for the refined loss.
     """
     targets, mask = targets_and_mask(batch.gold)
-    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"),
-                                            stochastic=True)
+    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"))
     with Tape() as tape:
-        enc = model.encode(batch, rng.child("enc"), stochastic=True)
+        enc = model.encode(batch, rng.child("enc"))
         logits, variances = decode_teacher_forced(model.decoder, enc.g_enc,
                                                   batch.gold, masks=masks)
         l_plain = gen_loss(logits, targets, mask)
@@ -154,9 +153,8 @@ def run_step(model: MultiCueModel, batch: Batch, cfg: RunConfig,
 def teacher_loss(model: MultiCueModel, batch: Batch) -> float:
     """Deterministic (dropout-off) cross-entropy in nats per token."""
     targets, mask = targets_and_mask(batch.gold)
-    enc = model.encode(batch, None, stochastic=False)
-    logits, _ = decode_teacher_forced(model.decoder, enc.g_enc, batch.gold,
-                                      stochastic=False)
+    enc = model.encode(batch)
+    logits, _ = decode_teacher_forced(model.decoder, enc.g_enc, batch.gold)
     return gen_loss(logits, targets, mask).item()
 
 
@@ -282,7 +280,8 @@ def train_and_save(cfg: RunConfig, dataset: Dataset, out_dir: str,
     result = train_model(cfg, dataset, log=log)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config": config_to_dict(cfg), "best_epoch": result.best_epoch,
-            "best_val_loss": result.best_val_loss}
+            "best_val_loss": result.best_val_loss,
+            "vocab_fingerprint": dataset.vocab.fingerprint()}
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
                     result.model.named_params(), meta=meta)
     with atomic_write(os.path.join(out_dir, "curve.csv")) as fh:
@@ -328,7 +327,7 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
     for idx in indices:
         bundle = dataset.bundles[idx]
         if mode == "deterministic":
-            enc = model.encode(make_batch(dataset, [idx]), None, stochastic=False)
+            enc = model.encode(make_batch(dataset, [idx]))
             sample = generate_greedy(model.decoder, enc.g_enc, cfg.max_len)
             tokens = sample.tokens
             record = {"id": bundle.id, "tokens": list(tokens),
@@ -340,7 +339,7 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
             stacked = make_batch(dataset, [idx] * cfg.eval_mc_samples)
 
             def producer(rows, batch=stacked):
-                return model.encode(batch, rows, stochastic=True).g_enc
+                return model.encode(batch, rows).g_enc
             samples, _, unc = generate_mc(model.decoder, producer,
                                           T=cfg.eval_mc_samples,
                                           max_len=cfg.max_len,
@@ -400,9 +399,9 @@ def variance_records(model: MultiCueModel, dataset: Dataset, indices, *,
     with override:
         for idx in indices:
             batch = make_batch(dataset, [idx] * T)
-            det = model.encode(batch, None, stochastic=False).g_enc.data[0].copy()
+            det = model.encode(batch).g_enc.data[0].copy()
             stats = mc_predict(
-                lambda r, batch=batch: model.encode(batch, r, stochastic=True).g_enc,
+                lambda r, batch=batch: model.encode(batch, r).g_enc,
                 T, rng.child(("var", int(idx))))
             mc_mean = stats.mean[0]
             bundle = dataset.bundles[idx]

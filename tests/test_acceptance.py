@@ -105,9 +105,8 @@ def _toy_cfg(**mumc_overrides):
 def _first_pass(model, batch, cfg, rng, targets, mask):
     """Uncertainty pass of the training step; stream names match the step so
     every dropout mask and noise draw is reproduced exactly."""
-    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"),
-                                            stochastic=True)
-    enc = model.encode(batch, rng.child("enc"), stochastic=True)
+    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"))
+    enc = model.encode(batch, rng.child("enc"))
     logits, variances = decode_teacher_forced(model.decoder, enc.g_enc,
                                               batch.gold, masks=masks)
     l_plain = gen_loss(logits, targets, mask)
@@ -150,7 +149,7 @@ class TestAcceptance:
         def objective():
             masks, _, _, _, l_u = _first_pass(model, batch, cfg, rng,
                                               targets, mask)
-            enc2 = model.encode(batch, rng.child("enc"), stochastic=True)
+            enc2 = model.encode(batch, rng.child("enc"))
             refined = mumc_refine(enc2.g_enc, enc2.mus, grad_const,
                                   cfg.mumc.gamma)
             logits2, _ = decode_teacher_forced(model.decoder, refined,
@@ -205,7 +204,7 @@ class TestAcceptance:
             masks, enc1, logits1, l_plain, l_u = _first_pass(
                 model, batch, cfg0, step_rng, targets, mask)
         tape.backward(l_u)
-        enc2 = model.encode(batch, step_rng.child("enc"), stochastic=True)
+        enc2 = model.encode(batch, step_rng.child("enc"))
         refined = mumc_refine(enc2.g_enc, enc2.mus, enc1.g_enc.grad, 0.0)
         logits2, _ = decode_teacher_forced(model.decoder, refined, batch.gold,
                                            masks=masks)
@@ -219,7 +218,7 @@ class TestAcceptance:
         # p = 0: Monte-Carlo predictive variance vanishes exactly.
         det_model = _toy_model(dropout_rate=0.0, dropout_kind="bernoulli")
         stats = mc_predict(
-            lambda r: det_model.encode(_tiled(batch, 6), r, stochastic=True).g_enc,
+            lambda r: det_model.encode(_tiled(batch, 6), r).g_enc,
             T=6, rng=rng.child("mc"))
         assert float(np.max(stats.variance)) == 0.0
         one = Batch(ids=["a"], image=batch.image[:1], place=batch.place[:1],
@@ -228,7 +227,7 @@ class TestAcceptance:
                     tag_ids=batch.tag_ids[:1], gold=batch.gold[:1])
         _, _, unc = generate_mc(
             det_model.decoder,
-            lambda r: det_model.encode(_tiled(one, 4), r, stochastic=True).g_enc,
+            lambda r: det_model.encode(_tiled(one, 4), r).g_enc,
             T=4, max_len=6, rng=rng.child("gen"))
         assert unc["epistemic"] == 0.0
 
@@ -243,14 +242,14 @@ class TestAcceptance:
 
         # single cue: the gate weight is identically (1).
         solo = _toy_model(cues=("caption",))
-        enc = solo.encode(batch, rng.child("solo"), stochastic=True)
+        enc = solo.encode(batch, rng.child("solo"))
         assert enc.pi.data.shape == (2, 1)
         assert np.all(enc.pi.data == 1.0)
         mod = Moderator(image_dim=5, dim=4, p=0.3, kind="bernoulli",
                         rng=RngStream(8).child("mod"))
         pi, order = mod.gate({"caption": Tensor(draw.normal(size=(3, 4)))},
                              Tensor(draw.normal(size=(3, 5))),
-                             rng=rng.child("gate"), stochastic=True)
+                             rng=rng.child("gate"))
         assert order == ("caption",)
         assert np.all(pi.data == 1.0)
         print("[criterion 2] PASS v=0, gamma=0, p=0, delta=0, single-cue "
@@ -271,8 +270,7 @@ class TestAcceptance:
             mus = {f"cue{j}": Tensor(draw.normal(size=(b, 5)) * scale)
                    for j in range(k)}
             feats = Tensor(draw.normal(size=(b, 6)) * scale)
-            pi, order = mod.gate(mus, feats, rng=gate_rng.child(trial),
-                                 stochastic=True)
+            pi, order = mod.gate(mus, feats, rng=gate_rng.child(trial))
             assert order == tuple(mus)
             assert pi.data.shape == (b, k)
             assert np.all(pi.data >= 0.0)
@@ -359,7 +357,7 @@ class TestAcceptance:
             "mumc": {"mc_samples": 2}})
         res1 = train_model(cfg1, ds1)
         nats = teacher_loss(res1.model, make_batch(ds1, [0]))
-        enc = res1.model.encode(make_batch(ds1, [0]), None, stochastic=False)
+        enc = res1.model.encode(make_batch(ds1, [0]))
         sample = generate_greedy(res1.model.decoder, enc.g_enc, cfg1.max_len)
         gold = list(ds1.bundles[0].questions[0])
         assert nats < 0.05

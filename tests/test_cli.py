@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from mcvqg.autodiff import Tensor
 from mcvqg.cli import main
+from mcvqg.data import Dataset, Vocabulary, load_dataset, save_dataset
+from mcvqg.nn import load_checkpoint, save_checkpoint
 
 
 def write_config(path, dataset, out_dir, **overrides):
@@ -138,6 +141,47 @@ class TestEval:
         assert main(["eval", "--config", str(workspace / "cfg.json"),
                      "--checkpoint", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("ERROR CHECKPOINT_INVALID:")
+
+    def test_checkpoint_meta_must_be_an_object(self, workspace, tmp_path, capsys):
+        payload = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        payload["meta"] = [1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["eval", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR CHECKPOINT_INVALID:")
+
+    @pytest.fixture
+    def swapped(self, workspace, tmp_path):
+        """The workspace dataset with two words' ids swapped: same size,
+        other words."""
+        ds = load_dataset(workspace / "data.jsonl")
+        tokens = list(ds.vocab.tokens[4:])
+        i, j = tokens.index("dog"), tokens.index("cat")
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+        path = tmp_path / "swapped.jsonl"
+        save_dataset(path, Dataset(vocab=Vocabulary(tokens), bundles=ds.bundles,
+                                   image_dim=ds.image_dim, place_dim=ds.place_dim))
+        return path
+
+    def test_checkpoint_of_another_vocabulary(self, workspace, swapped, tmp_path, capsys):
+        assert main(["eval", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--dataset", str(swapped), "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR CHECKPOINT_INVALID:")
+        assert "vocabulary" in err
+
+    def test_checkpoint_without_fingerprint_restores_unchecked(self, workspace, swapped,
+                                                               tmp_path):
+        arrays, meta = load_checkpoint(workspace / "run" / "checkpoint.json")
+        assert meta.pop("vocab_fingerprint") == load_dataset(
+            workspace / "data.jsonl").vocab.fingerprint()
+        old = tmp_path / "old.json"
+        save_checkpoint(old, {k: Tensor(a) for k, a in arrays.items()}, meta=meta)
+        assert main(["eval", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(old), "--dataset", str(swapped),
+                     "--out", str(tmp_path / "eval")]) == 0
 
 
 class TestSample:

@@ -111,7 +111,7 @@ class TestTeacherForcing:
         dec = _decoder()
         gold = _gold()
         g = RngStream(3).normal((3, ENC))
-        logits, variances = decode_teacher_forced(dec, Tensor(g), gold, stochastic=False)
+        logits, variances = decode_teacher_forced(dec, Tensor(g), gold)
         ref_logits, ref_vars = _np_teacher_forced(dec, g, gold)
         steps = gold.shape[1] - 1
         assert logits.shape == variances.shape == (steps * 3, VOCAB)
@@ -124,8 +124,8 @@ class TestTeacherForcing:
     def test_encoding_reaches_first_step(self):
         dec = _decoder()
         gold = _gold()
-        a, _ = decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), gold, stochastic=False)
-        b, _ = decode_teacher_forced(dec, Tensor(np.ones((3, ENC))), gold, stochastic=False)
+        a, _ = decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), gold)
+        b, _ = decode_teacher_forced(dec, Tensor(np.ones((3, ENC))), gold)
         assert np.abs(a.data[:3] - b.data[:3]).max() > 1e-6
 
     def test_gold_must_begin_with_bos(self):
@@ -133,14 +133,14 @@ class TestTeacherForcing:
         bad = _gold()
         bad[0, 0] = 5
         with pytest.raises(ValueError, match="BOS"):
-            decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), bad, stochastic=False)
+            decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), bad)
 
     def test_gold_must_end_with_eos(self):
         dec = _decoder()
         bad = _gold()
         bad[1, 2] = 7
         with pytest.raises(ValueError, match="EOS"):
-            decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), bad, stochastic=False)
+            decode_teacher_forced(dec, Tensor(np.zeros((3, ENC))), bad)
 
     def test_targets_shift_and_pad_mask(self):
         targets, mask = targets_and_mask(_gold())
@@ -155,7 +155,7 @@ class TestTeacherForcing:
         dec = _decoder(p=0.5)
         gold = _gold()
         g = Tensor(RngStream(3).normal((3, ENC)))
-        masks = dec.cell.sample_masks(3, RngStream(8), stochastic=True)
+        masks = dec.cell.sample_masks(3, RngStream(8))
         a, _ = decode_teacher_forced(dec, g, gold, masks=masks)
         b, _ = decode_teacher_forced(dec, g, gold, masks=masks)
         np.testing.assert_array_equal(a.data, b.data)
@@ -178,7 +178,7 @@ class TestGenerationLoss:
         dec = _decoder()
         gold = _gold()
         g = RngStream(4).normal((3, ENC))
-        logits, _ = decode_teacher_forced(dec, Tensor(g), gold, stochastic=False)
+        logits, _ = decode_teacher_forced(dec, Tensor(g), gold)
         targets, mask = targets_and_mask(gold)
         full = gen_loss(logits, targets, mask)
         # recombine per-example losses weighted by their token counts
@@ -197,8 +197,7 @@ class TestGenerationLoss:
     def test_bitwise_equal_to_per_step_reference(self):
         dec = _decoder()
         gold = _gold()
-        logits, _ = decode_teacher_forced(dec, Tensor(RngStream(4).normal((3, ENC))), gold,
-                                          stochastic=False)
+        logits, _ = decode_teacher_forced(dec, Tensor(RngStream(4).normal((3, ENC))), gold)
         targets, mask = targets_and_mask(gold)
         ref = _np_gen_loss(np.split(logits.data, targets.shape[1]), targets, mask)
         assert gen_loss(logits, targets, mask).data.tobytes() == ref.tobytes()
@@ -253,7 +252,7 @@ class TestAleatoricLoss:
     def test_bitwise_equal_to_per_step_reference(self):
         dec = _decoder(p=0.4)
         gold = _gold()
-        masks = dec.cell.sample_masks(3, RngStream(8), stochastic=True)
+        masks = dec.cell.sample_masks(3, RngStream(8))
         logits, variances = decode_teacher_forced(dec, Tensor(RngStream(4).normal((3, ENC))),
                                                   gold, masks=masks)
         targets, mask = targets_and_mask(gold)
@@ -382,7 +381,7 @@ class TestEndToEndGradients:
         gold[0, 3] = PAD
         gold[0, 2] = EOS
         g_data = RngStream(9).normal((2, ENC))
-        masks = dec.cell.sample_masks(2, RngStream(31), stochastic=True)
+        masks = dec.cell.sample_masks(2, RngStream(31))
         targets, mask = targets_and_mask(gold)
         params = [dec.in_proj_w, dec.cell.wx, dec.w_out, dec.b_out,
                   dec.embedding.weight]
@@ -403,8 +402,7 @@ class TestEndToEndGradients:
         params = [dec.w_var, dec.b_var, dec.w_out]
 
         def f():
-            logits, variances = decode_teacher_forced(dec, Tensor(g_data), gold,
-                                                      stochastic=False)
+            logits, variances = decode_teacher_forced(dec, Tensor(g_data), gold)
             return aleatoric_mc_loss(logits, variances, targets, mask, T=3,
                                      rng=RngStream(77))
 
@@ -418,8 +416,7 @@ class TestEndToEndGradients:
         targets, mask = targets_and_mask(gold)
         with Tape() as tape:
             g_enc = ad.tanh(ad.matmul(feats, w))
-            logits, variances = decode_teacher_forced(dec, g_enc, gold,
-                                                      stochastic=False)
+            logits, variances = decode_teacher_forced(dec, g_enc, gold)
             l_plain = gen_loss(logits, targets, mask)
             l_mc = aleatoric_mc_loss(logits, variances, targets, mask, T=4,
                                      rng=RngStream(5))
@@ -463,8 +460,8 @@ class TestGreedyGeneration:
     def test_stochastic_decode_reproducible_by_stream(self):
         dec = _decoder(p=0.4)
         g = Tensor(RngStream(3).normal((1, ENC)))
-        a = generate_greedy(dec, g, max_len=6, rng=RngStream(12), stochastic=True)
-        b = generate_greedy(dec, g, max_len=6, rng=RngStream(12), stochastic=True)
+        a = generate_greedy(dec, g, max_len=6, rng=RngStream(12))
+        b = generate_greedy(dec, g, max_len=6, rng=RngStream(12))
         assert a.tokens == b.tokens
         for ya, yb in zip(a.logits, b.logits):
             np.testing.assert_array_equal(ya, yb)

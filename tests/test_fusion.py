@@ -24,18 +24,17 @@ class TestCueEncoders:
         enc = self._encoders()
         ids = np.array([[5, 6, 7, PAD, PAD], [8, 9, 10, 11, 12]])
         lengths = np.array([3, 5])
-        batched = cues.encode_caption(enc.caption_cell, enc.embedding, ids, lengths,
-                                      stochastic=False)
+        batched = cues.encode_caption(enc.caption_cell, enc.embedding, ids, lengths)
         solo = cues.encode_caption(enc.caption_cell, enc.embedding,
-                                   ids[0:1, :3], np.array([3]), stochastic=False)
+                                   ids[0:1, :3], np.array([3]))
         assert np.allclose(batched.data[0], solo.data[0], rtol=1e-12)
 
     def test_all_pad_tags_encode_as_pad_sequence(self):
         enc = self._encoders()
         tag_ids = np.zeros((1, 15), dtype=np.int64)
-        got = cues.encode_tags(enc.tag_cell, enc.embedding, tag_ids, stochastic=False)
+        got = cues.encode_tags(enc.tag_cell, enc.embedding, tag_ids)
         inputs = [enc.embedding.lookup(np.array([PAD])) for _ in range(15)]
-        _, want = enc.tag_cell.sequence(inputs, stochastic=False)
+        _, want = enc.tag_cell.sequence(inputs)
         assert np.array_equal(got.data, want.data)
 
     def test_encode_shapes_and_determinism(self):
@@ -49,8 +48,8 @@ class TestCueEncoders:
             caption_lengths = np.array([len(b.caption) for b in ds.bundles])
             tag_ids = np.stack([b.tags.sequence() for b in ds.bundles])
 
-        a = enc.encode(B, rng=RngStream(2, stream=5), stochastic=True)
-        b = enc.encode(B, rng=RngStream(2, stream=5), stochastic=True)
+        a = enc.encode(B, rng=RngStream(2, stream=5))
+        b = enc.encode(B, rng=RngStream(2, stream=5))
         for cue in ("image", "place", "caption", "tag"):
             assert a[cue].shape == (3, 5)
             assert np.array_equal(a[cue].data, b[cue].data)
@@ -75,14 +74,13 @@ class TestCueFusion:
         fus.w_out["place"].data = np.eye(3)
         g_i = np.array([[0.5, -1.0, 2.0]])
         g_p = np.array([[1.5, 0.3, -0.2]])
-        mu = fus.fuse("place", Tensor(g_i), Tensor(g_p), stochastic=False)
+        mu = fus.fuse("place", Tensor(g_i), Tensor(g_p))
         assert np.allclose(mu.data, np.tanh(g_i * g_p), rtol=1e-14)
 
     def test_zero_output_weights_give_zero(self):
         fus = CueFusion(3, ("caption",), p=0.0, kind="none", rng=RngStream(1))
         fus.w_out["caption"].data = np.zeros((3, 3))
-        mu = fus.fuse("caption", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
-                      stochastic=False)
+        mu = fus.fuse("caption", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         assert np.array_equal(mu.data, np.zeros((2, 3)))
 
     def test_dropout_before_output_projection(self):
@@ -94,7 +92,7 @@ class TestCueFusion:
             rng = RngStream(3, stream=s)
             mask = ad.dropout_mask((1, 2), 0.5, "bernoulli", rng.child(("fuse", "place")))
             if np.all(mask == 0):
-                mu = fus.fuse("place", g, g, rng=rng, stochastic=True)
+                mu = fus.fuse("place", g, g, rng=rng)
                 assert np.array_equal(mu.data, np.zeros((1, 2)))
                 seen_zero = True
                 break
@@ -124,7 +122,7 @@ class TestModerator:
 
     def test_single_cue_gives_weight_one(self):
         mod, mus, feats = self._setup(n_cues=1)
-        pi, order = mod.gate(mus, feats, stochastic=False)
+        pi, order = mod.gate(mus, feats)
         assert order == ("place",)
         assert np.array_equal(pi.data, np.ones((4, 1)))
 
@@ -135,7 +133,7 @@ class TestModerator:
             k = int(rng.integers(1, 4))
             mus = {f"c{j}": Tensor(rng.uniform(-1e3, 1e3, (2, 5))) for j in range(k)}
             feats = Tensor(rng.uniform(-1e3, 1e3, (2, 6)))
-            pi, order = mod.gate(mus, feats, stochastic=False)
+            pi, order = mod.gate(mus, feats)
             assert np.all(pi.data >= 0)
             assert np.all(np.abs(pi.data.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -143,29 +141,29 @@ class TestModerator:
         # shifting every mu by the same multiple of g_gat shifts all scores
         # equally, which must not move the argmax
         mod, mus, feats = self._setup(seed=3)
-        g_gat = mod.gate_net.forward(feats, stochastic=False)
-        pi1, order = mod.gate(mus, feats, stochastic=False)
+        g_gat = mod.gate_net.forward(feats)
+        pi1, order = mod.gate(mus, feats)
         denom = (g_gat.data * g_gat.data).sum(axis=1, keepdims=True)
         shift = 7.5 * g_gat.data / denom
         shifted = {c: Tensor(m.data + shift) for c, m in mus.items()}
-        pi2, _ = mod.gate(shifted, feats, stochastic=False)
+        pi2, _ = mod.gate(shifted, feats)
         assert np.array_equal(np.argmax(pi1.data, axis=1), np.argmax(pi2.data, axis=1))
         assert np.allclose(pi1.data, pi2.data, atol=1e-9)
 
     def test_cue_dropping_equals_renormalization(self):
         mod, mus, feats = self._setup(n_cues=3)
-        pi_full, order = mod.gate(mus, feats, stochastic=False)
+        pi_full, order = mod.gate(mus, feats)
         reduced = {c: mus[c] for c in order[:2]}
-        pi_red, order_red = mod.gate(reduced, feats, stochastic=False)
+        pi_red, order_red = mod.gate(reduced, feats)
         top = pi_full.data[:, :2]
         renorm = top / top.sum(axis=1, keepdims=True)
         assert np.allclose(pi_red.data, renorm, atol=1e-12)
 
     def test_temperature_sharpens(self):
         mod, mus, feats = self._setup(seed=5)
-        pi_t1, _ = mod.gate(mus, feats, stochastic=False)
+        pi_t1, _ = mod.gate(mus, feats)
         mod.temperature = 0.1
-        pi_sharp, _ = mod.gate(mus, feats, stochastic=False)
+        pi_sharp, _ = mod.gate(mus, feats)
         assert pi_sharp.data.max(axis=1).mean() > pi_t1.data.max(axis=1).mean()
 
 
@@ -200,9 +198,9 @@ class TestMixEncoding:
 
         def f():
             r = RngStream(8, stream=1)
-            mus = {"place": fus.fuse("place", g_img, g_p, r.child("fp"), True),
-                   "caption": fus.fuse("caption", g_img, g_c, r.child("fc"), True)}
-            pi, order = mod.gate(mus, feats, rng=r.child("gate"), stochastic=True)
+            mus = {"place": fus.fuse("place", g_img, g_p, r.child("fp")),
+                   "caption": fus.fuse("caption", g_img, g_c, r.child("fc"))}
+            pi, order = mod.gate(mus, feats, rng=r.child("gate"))
             g_enc = mix_encoding(pi, mus, order)
             return ad.sum_all(ad.mul(g_enc, g_enc))
 

@@ -5,7 +5,10 @@ import pytest
 
 from mcvqg.autodiff import Tensor
 from mcvqg.data import BOS, EOS, PAD, synth_generate
+from mcvqg.decoder import Decoder, decode_teacher_forced
+from mcvqg.fusion import CueFusion, Moderator
 from mcvqg.model import MultiCueModel, dropout_override, make_batch
+from mcvqg.nn import BayesianLSTMCell, BayesianMLP, EmbeddingTable
 from mcvqg.rng import RngStream
 
 IMAGE_DIM = 24
@@ -112,7 +115,7 @@ class TestEncode:
     def test_single_cue_weights_identically_one(self):
         ds = small_dataset()
         m = small_model(cues=("caption",))
-        enc = m.encode(make_batch(ds, [0, 1]), None, stochastic=False)
+        enc = m.encode(make_batch(ds, [0, 1]))
         np.testing.assert_array_equal(enc.pi.data, np.ones((2, 1)))
         assert enc.mus == {}
         assert enc.order == ("caption",)
@@ -121,7 +124,7 @@ class TestEncode:
     def test_moderator_weights_lie_on_simplex(self):
         ds = small_dataset()
         m = small_model(cues=("image", "caption", "tag"))
-        enc = m.encode(make_batch(ds, range(4)), None, stochastic=False)
+        enc = m.encode(make_batch(ds, range(4)))
         assert enc.order == ("caption", "tag")
         assert enc.pi.data.shape == (4, 2)
         assert np.all(enc.pi.data >= 0)
@@ -131,7 +134,7 @@ class TestEncode:
     def test_mixture_path_has_no_weights(self):
         ds = small_dataset()
         m = small_model(cues=("image", "caption", "tag"), combiner="mixture")
-        enc = m.encode(make_batch(ds, [0]), None, stochastic=False)
+        enc = m.encode(make_batch(ds, [0]))
         assert enc.pi is None
         assert enc.g_enc.data.shape == (1, 6)
 
@@ -140,25 +143,111 @@ class TestEncode:
         m = small_model()
         batch = make_batch(ds, range(3))
         root = RngStream(9)
-        a = m.encode(batch, root.child("enc"), stochastic=True)
-        b = m.encode(batch, root.child("enc"), stochastic=True)
+        a = m.encode(batch, root.child("enc"))
+        b = m.encode(batch, root.child("enc"))
         np.testing.assert_array_equal(a.g_enc.data, b.g_enc.data)
 
     def test_stochastic_pass_differs_from_deterministic(self):
         ds = small_dataset()
         m = small_model()
         batch = make_batch(ds, range(3))
-        sto = m.encode(batch, RngStream(9).child("enc"), stochastic=True)
-        det = m.encode(batch, None, stochastic=False)
+        sto = m.encode(batch, RngStream(9).child("enc"))
+        det = m.encode(batch)
         assert not np.allclose(sto.g_enc.data, det.g_enc.data)
 
     def test_zero_rate_stochastic_equals_deterministic(self):
         ds = small_dataset()
         m = small_model(p=0.0, kind="none")
         batch = make_batch(ds, range(3))
-        sto = m.encode(batch, RngStream(9).child("enc"), stochastic=True)
-        det = m.encode(batch, None, stochastic=False)
+        sto = m.encode(batch, RngStream(9).child("enc"))
+        det = m.encode(batch)
         np.testing.assert_array_equal(sto.g_enc.data, det.g_enc.data)
+
+
+def _mlp(p, kind):
+    net = BayesianMLP([5, 4, 3], p, kind, RngStream(1))
+    x = Tensor(RngStream(2).normal((2, 5)))
+    return lambda rng: [net.forward(x, rng).data]
+
+
+def _lstm_masks(p, kind):
+    cell = BayesianLSTMCell(3, 4, p, kind, RngStream(1))
+
+    def call(rng):
+        masks = cell.sample_masks(2, rng)
+        return [masks.gates, masks.out]
+    return call
+
+
+def _fuse(p, kind):
+    fus = CueFusion(4, ("place",), p, kind, RngStream(1))
+    g_img, g_cue = (Tensor(RngStream(s).normal((2, 4))) for s in (2, 3))
+    return lambda rng: [fus.fuse("place", g_img, g_cue, rng).data]
+
+
+def _gate(p, kind):
+    mod = Moderator(5, 4, p, kind, RngStream(1))
+    mus = {cue: Tensor(RngStream(s).normal((2, 4)))
+           for s, cue in ((2, "place"), (3, "caption"))}
+    feats = Tensor(RngStream(4).normal((2, 5)))
+    return lambda rng: [mod.gate(mus, feats, rng)[0].data]
+
+
+def _decode(p, kind):
+    emb = EmbeddingTable(9, 3, RngStream(1).child("emb"))
+    dec = Decoder(4, 3, 5, 9, p, kind, RngStream(1).child("dec"), emb)
+    g_enc = Tensor(RngStream(2).normal((2, 4)))
+    gold = np.array([[BOS, 5, 6, EOS], [BOS, 7, EOS, PAD]])
+    return lambda rng: [t.data for t in decode_teacher_forced(dec, g_enc, gold, rng)]
+
+
+def _encode(p, kind):
+    m = small_model(cues=("image", "place", "caption", "tag"), p=p, kind=kind)
+    batch = make_batch(small_dataset(), range(3))
+    return lambda rng: [m.encode(batch, rng).g_enc.data]
+
+
+# component -> build(p, kind) -> call(rng or None) -> its output arrays
+SWITCHED = {"mlp": _mlp, "lstm_masks": _lstm_masks, "fuse": _fuse, "gate": _gate,
+            "decode_teacher_forced": _decode, "encode": _encode}
+
+
+def _same_bytes(a, b):
+    return all(x is None and y is None or
+               x is not None and y is not None and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+class TestStreamIsTheSwitch:
+    """A pass is stochastic exactly when it is given a stream."""
+
+    @pytest.mark.parametrize("name", sorted(SWITCHED))
+    def test_no_stream_is_the_dropout_free_pass(self, name):
+        build = SWITCHED[name]
+        off = build(0.0, "bernoulli")(RngStream(7))
+        assert _same_bytes(build(0.3, "bernoulli")(None), off)
+
+    @pytest.mark.parametrize("name", sorted(SWITCHED))
+    def test_a_stream_turns_dropout_on(self, name):
+        call = SWITCHED[name](0.3, "bernoulli")
+        assert not _same_bytes(call(RngStream(7)), call(None))
+
+    @pytest.mark.parametrize("p, kind", [(0.0, "bernoulli"), (0.3, "none")])
+    @pytest.mark.parametrize("name", sorted(SWITCHED))
+    def test_dropout_free_component_draws_nothing(self, name, p, kind, monkeypatch):
+        call = SWITCHED[name](p, kind)
+        draws = []
+        generators = RngStream._generators
+        monkeypatch.setattr(RngStream, "_generators",
+                            lambda self: draws.append(self) or generators(self))
+        call(RngStream(7))
+        assert draws == []
+
+    def test_encode_stochastic_false_drops_the_stream(self):
+        m = small_model()
+        batch = make_batch(small_dataset(), range(3))
+        dropped = m.encode(batch, RngStream(9), stochastic=False).g_enc.data
+        assert dropped.tobytes() == m.encode(batch).g_enc.data.tobytes()
 
 
 class TestNamedParams:
@@ -212,9 +301,9 @@ class TestDropoutOverride:
         ds = small_dataset()
         m = small_model(p=0.0, kind="none")
         batch = make_batch(ds, [0, 1])
-        det = m.encode(batch, None, stochastic=False).g_enc.data
+        det = m.encode(batch).g_enc.data
         with dropout_override(m, 0.4, "bernoulli"):
-            sto = m.encode(batch, RngStream(3).child("e"), stochastic=True).g_enc.data
+            sto = m.encode(batch, RngStream(3).child("e")).g_enc.data
         assert not np.allclose(sto, det)
-        after = m.encode(batch, RngStream(3).child("e"), stochastic=True).g_enc.data
+        after = m.encode(batch, RngStream(3).child("e")).g_enc.data
         np.testing.assert_array_equal(after, det)

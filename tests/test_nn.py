@@ -33,7 +33,7 @@ class TestBayesianMLP:
         rng = RngStream(0)
         net = nn.BayesianMLP([3, 4, 2], p=0.3, kind="bernoulli", rng=rng)
         x = np.array([[0.5, -1.0, 2.0]])
-        got = net.forward(Tensor(x), stochastic=False).data
+        got = net.forward(Tensor(x)).data
         h = np.tanh(x @ net.weights[0].data + net.biases[0].data)
         want = h @ net.weights[1].data + net.biases[1].data
         assert np.allclose(got, want, rtol=1e-14)
@@ -41,17 +41,17 @@ class TestBayesianMLP:
     def test_p_zero_stochastic_equals_deterministic(self):
         net = nn.BayesianMLP([3, 4, 2], p=0.0, kind="bernoulli", rng=RngStream(1))
         x = Tensor(np.ones((2, 3)))
-        a = net.forward(x, rng=RngStream(5), stochastic=True).data
-        b = net.forward(x, stochastic=False).data
+        a = net.forward(x, rng=RngStream(5)).data
+        b = net.forward(x).data
         assert np.array_equal(a, b)
 
     def test_same_stream_state_reproduces_stochastic_pass(self):
         net = nn.BayesianMLP([3, 8, 2], p=0.5, kind="bernoulli", rng=RngStream(2))
         x = Tensor(np.ones((4, 3)))
-        a = net.forward(x, rng=RngStream(7, stream=3), stochastic=True).data
-        b = net.forward(x, rng=RngStream(7, stream=3), stochastic=True).data
+        a = net.forward(x, rng=RngStream(7, stream=3)).data
+        b = net.forward(x, rng=RngStream(7, stream=3)).data
         assert np.array_equal(a, b)
-        c = net.forward(x, rng=RngStream(7, stream=4), stochastic=True).data
+        c = net.forward(x, rng=RngStream(7, stream=4)).data
         assert not np.array_equal(a, c)
 
     def test_dropout_applied_before_first_layer(self):
@@ -63,7 +63,7 @@ class TestBayesianMLP:
             r = RngStream(8, stream=tag)
             mask = ad.dropout_mask((1, 2), 0.5, "bernoulli", r.child(("drop", 0)))
             if np.all(mask == 0.0):
-                got = net.forward(Tensor(x), rng=r, stochastic=True).data
+                got = net.forward(Tensor(x), rng=r).data
                 assert np.allclose(got, net.biases[0].data[None, :])
                 found_zero_mask = True
                 break
@@ -83,7 +83,7 @@ class TestBayesianMLP:
         rng_state = (11, 9)
 
         def f():
-            out = net.forward(x, rng=RngStream(*rng_state), stochastic=True)
+            out = net.forward(x, rng=RngStream(*rng_state))
             return ad.sum_all(ad.mul(out, out))
 
         params = list(net.named_params("mlp").values())
@@ -96,7 +96,7 @@ class TestBayesianLSTMCell:
         for t in (cell.wx, cell.wh, cell.b):
             t.data = np.zeros_like(t.data)
         inputs = [Tensor(np.zeros((2, 2))) for _ in range(4)]
-        hs, h = cell.sequence(inputs, stochastic=False)
+        hs, h = cell.sequence(inputs)
         assert all(np.array_equal(s.data, np.zeros((2, 3))) for s in hs)
         assert np.array_equal(h.data, np.zeros((2, 3)))
 
@@ -128,16 +128,16 @@ class TestBayesianLSTMCell:
     def test_sequence_draws_masks_once_from_stream(self):
         cell = nn.BayesianLSTMCell(2, 4, p=0.5, kind="bernoulli", rng=RngStream(4))
         inputs = [Tensor(np.ones((2, 2))) for _ in range(4)]
-        _, a = cell.sequence(inputs, rng=RngStream(9, stream=1), stochastic=True)
-        _, b = cell.sequence(inputs, rng=RngStream(9, stream=1), stochastic=True)
+        _, a = cell.sequence(inputs, rng=RngStream(9, stream=1))
+        _, b = cell.sequence(inputs, rng=RngStream(9, stream=1))
         assert np.array_equal(a.data, b.data)
 
     def test_step_mask_freezes_padded_rows(self):
         cell = nn.BayesianLSTMCell(2, 3, p=0.0, kind="none", rng=RngStream(5))
         xs = [np.array([[0.4, 0.2], [1.0, -0.5]]), np.array([[0.1, 0.9], [2.0, 2.0]])]
         step_mask = np.array([[1, 1], [1, 0]])   # row 1 has true length 1
-        _, h = cell.sequence([Tensor(x) for x in xs], stochastic=False, step_mask=step_mask)
-        _, h_short = cell.sequence([Tensor(xs[0][1:2])], stochastic=False)
+        _, h = cell.sequence([Tensor(x) for x in xs], step_mask=step_mask)
+        _, h_short = cell.sequence([Tensor(xs[0][1:2])])
         assert np.array_equal(h.data[1], h_short.data[0])
 
     def test_gradients_match_fd_with_frozen_masks(self):
@@ -308,7 +308,7 @@ class TestMcPredict:
         def run(p):
             net.p = p
             stacked = Tensor(np.tile(x.data, (200, 1)))
-            return nn.mc_predict(lambda r: net.forward(stacked, rng=r, stochastic=True),
+            return nn.mc_predict(lambda r: net.forward(stacked, rng=r),
                                  200, RngStream(6)).variance.mean()
 
         v_low, v_high = run(0.1), run(0.5)

@@ -118,6 +118,31 @@ class TestRowStreams:
                 rows.normal(shape)
 
 
+class TestRowIds:
+    def test_row_child_ids_are_the_child_streams_ids(self):
+        s = RngStream(42).child("mc")
+        for tag in ("enc", ("w", 1), 3):
+            ids = list(s.rows(20).child(tag).streams)
+            assert ids == [s.child(t).child(tag).stream for t in range(20)]
+        # the row path keys ids past 2**63 as the one-id path does
+        assert any(i >= 1 << 63 for i in ids)
+        stacked = s.rows(20).child(3).normal((20, 2))
+        for t in range(20):
+            assert stacked[t:t + 1].tobytes() == s.child(t).child(3).normal((1, 2)).tobytes()
+
+    def test_one_row_draws_any_shape(self):
+        s = RngStream(6)
+        for shape in ((), (5,), (3, 2)):
+            assert s.rows(1).uniform(shape).tobytes() == s.child(0).uniform(shape).tobytes()
+
+    def test_several_ids_have_no_single_id_draw(self):
+        rows = RngStream(1).rows(2)
+        for call in (lambda: rows.integers(0, 5, (2,)), lambda: rows.shuffled([1, 2]),
+                     lambda: rows.stream, lambda: rows.rows(2)):
+            with pytest.raises(TypeError):
+                call()
+
+
 class TestMoments:
     def test_uniform_range_and_mean(self):
         x = RngStream(7).uniform((20000,))

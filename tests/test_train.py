@@ -162,11 +162,10 @@ def two_encode_step(model, batch, cfg, rng):
     re-encodes under the same streams on a second tape. Kept as the
     reference that the one-encode `run_step` must match bit for bit."""
     targets, mask = targets_and_mask(batch.gold)
-    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"),
-                                            stochastic=True)
+    masks = model.decoder.cell.sample_masks(batch.size, rng.child("dec_masks"))
     if not cfg.mumc_enabled:
         with Tape() as tape:
-            enc = model.encode(batch, rng.child("enc"), stochastic=True)
+            enc = model.encode(batch, rng.child("enc"))
             logits, _ = decode_teacher_forced(model.decoder, enc.g_enc,
                                               batch.gold, masks=masks)
             loss = gen_loss(logits, targets, mask)
@@ -175,7 +174,7 @@ def two_encode_step(model, batch, cfg, rng):
         return {"total": value, "l_gen": value, "l_u": 0.0, "l_aleatoric": value}
     mumc = cfg.mumc
     with Tape() as tape1:
-        enc1 = model.encode(batch, rng.child("enc"), stochastic=True)
+        enc1 = model.encode(batch, rng.child("enc"))
         logits, variances = decode_teacher_forced(model.decoder, enc1.g_enc,
                                                   batch.gold, masks=masks)
         l_plain = gen_loss(logits, targets, mask)
@@ -190,7 +189,7 @@ def two_encode_step(model, batch, cfg, rng):
         if p.grad is not None:
             p.grad *= lam
     with Tape() as tape2:
-        enc2 = model.encode(batch, rng.child("enc"), stochastic=True)
+        enc2 = model.encode(batch, rng.child("enc"))
         refined = mumc_refine(enc2.g_enc, enc2.mus, grad_enc, mumc.gamma)
         logits2, _ = decode_teacher_forced(model.decoder, refined,
                                            batch.gold, masks=masks)
@@ -480,7 +479,7 @@ class TestVarianceRecords:
         for idx, rec in zip((0, 3), records):
             batch = make_batch(DS, [idx])
             stream = rng.child(("var", idx))
-            draws = [model.encode(batch, stream.child(t), stochastic=True).g_enc.data[0]
+            draws = [model.encode(batch, stream.child(t)).g_enc.data[0]
                      for t in range(4)]
             mean = np.mean(draws, axis=0)
             assert np.max(np.abs(rec.mc_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
