@@ -10,7 +10,7 @@ NaN/Inf an error at the op that produced it.
 A `Tape` records ops while active (`with Tape() as t:`, resumed by `with t:`)
 and may be swept by `backward` more than once. Each sweep first clears the
 gradients of the tape's node outputs, so an interior gradient holds the
-latest sweep while leaves keep accumulating: the MUMC step reads d(loss)/
+latest sweep while leaves go on accumulating: the MUMC step reads d(loss)/
 d(mixed encoding) off an interior node, extends the tape and sweeps again.
 
 Most ops record one node per output tensor. A fused op may record one node
@@ -189,24 +189,17 @@ def _check_same_shape(name, a, b):
 # core ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for the (m,k)x(k,n), (k,)x(k,n) and (m,k)x(k,) cases."""
+    """Matrix product of a (m, k) and a (k, n) tensor."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2) or (ad.ndim == 1 and bd.ndim == 1):
-        raise ShapeError(f"matmul: unsupported ranks: {ad.shape} x {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: operands must be 2-D: {ad.shape} x {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner extents disagree: {ad.shape} x {bd.shape}")
     out = ad @ bd
 
     def backward_fn(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
-        elif ad.ndim == 1:            # (k,) @ (k,n) -> (n,)
-            _accum(a, bd @ g)
-            _accum(b, np.outer(ad, g))
-        else:                         # (m,k) @ (k,) -> (m,)
-            _accum(a, np.outer(g, bd))
-            _accum(b, ad.T @ g)
+        _accum(a, g @ bd.T)
+        _accum(b, ad.T @ g)
 
     return _make(out, (a, b), backward_fn)
 
@@ -291,22 +284,19 @@ def softplus(a: Tensor) -> Tensor:
 # batched / structural ops
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias added to every row (explicit, not broadcast)."""
+    """(B, k) @ (k, n) + b with the bias added to every row (explicit, not
+    broadcast)."""
     xd, wd, bd = x.data, w.data, b.data
     if wd.ndim != 2 or bd.ndim != 1 or wd.shape[1] != bd.shape[0]:
         raise ShapeError(f"affine: bad weight/bias shapes {wd.shape} / {bd.shape}")
-    if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[0]:
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"affine: input {xd.shape} does not match weight {wd.shape}")
     out = xd @ wd + bd
 
     def backward_fn(g):
         _accum(x, g @ wd.T)
-        if xd.ndim == 2:
-            _accum(w, xd.T @ g)
-            _accum(b, g.sum(axis=0))
-        else:
-            _accum(w, np.outer(xd, g))
-            _accum(b, g)
+        _accum(w, xd.T @ g)
+        _accum(b, g.sum(axis=0))
 
     return _make(out, (x, w, b), backward_fn)
 
@@ -369,7 +359,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows of a (V, n) table by integer id — embedding lookup."""
+    """Select rows of a (V, n) table by integer id: an embedding lookup, or
+    each row's state at its own length from time-stacked states."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2 or ids.ndim != 1:
         raise ShapeError(f"gather_rows: table {table.data.shape}, ids {ids.shape}")
@@ -430,12 +421,12 @@ def row_softmax(x: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction; rows sum to 1."""
     if x.data.ndim != 2 or x.data.shape[1] == 0:
         raise ShapeError(f"row_softmax: need 2-D input with columns, got {x.data.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    z = x.data - x.data.max(axis=1)[:, None]
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=1)[:, None]
 
     def backward_fn(g):
-        _accum(x, p * (g - (g * p).sum(axis=1, keepdims=True)))
+        _accum(x, p * (g - (g * p).sum(axis=1)[:, None]))
 
     return _make(p, (x,), backward_fn)
 
@@ -507,8 +498,8 @@ def lrt_sample(y: Tensor, v: Tensor, eps) -> Tensor:
 
     y and v are (N, V) logits and variances; eps is (T*N, V) and row
     s*N + n of the result is draw s of row n. One tape node: the backward
-    keeps only y's and v's data, sqrt(v) and eps. The square root's
-    derivative is infinite at v = 0, so keep differentiable variances
+    holds only y's and v's data, sqrt(v) and eps. The square root's
+    derivative is infinite at v = 0, so differentiable variances must stay
     strictly positive (a softplus upstream does).
     """
     eps = np.asarray(eps, dtype=np.float64)
@@ -535,20 +526,20 @@ def lrt_sample(y: Tensor, v: Tensor, eps) -> Tensor:
 # fused LSTM step
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-              gate_mask=None, out_mask=None, keep=None):
+              gate_mask=None, out_mask=None):
     """One LSTM timestep as one two-output tape node; returns (h', c').
 
     pre = (x @ wx + b) + h @ wh on (B, in) / (B, n) rows, times gate_mask
     (B, 4n), with the gates packed as input, forget, output, candidate;
-    c' = f*c + i*g and h' = o*tanh(c'), times out_mask (B, n). A (B, 1)
-    `keep` column blends both outputs with the old state, new*keep +
-    old*(1 - keep), so a row with keep 0 passes (h, c) through unchanged.
-    Masks and keep are arrays without gradient; None means none. The
-    forward evaluates in the order of the same step composed from single
-    ops (affine, matmul, add, dropout, sigmoid, tanh, mul), and the
-    backward adds into each input in that composition's sweep order, so
-    values and gradients equal the composed step's bit for bit. A
-    non-finite preactivation raises NonFiniteError here.
+    c' = f*c + i*g and h' = o*tanh(c'), times out_mask (B, n). The masks
+    are arrays without gradient; None means none. Padding is not handled
+    here: a caller with ragged rows runs every step and picks each row's
+    state at its own length (see `cues.encode_caption`). The forward
+    evaluates in the order of the same step composed from single ops
+    (affine, matmul, add, dropout, sigmoid, tanh, mul), and the backward
+    adds into each input in that composition's sweep order, so values and
+    gradients equal the composed step's bit for bit. A non-finite
+    preactivation raises NonFiniteError here.
     """
     xd, hd, cd, wxd, whd, bd = x.data, h.data, c.data, wx.data, wh.data, b.data
     rows, n = hd.shape if hd.ndim == 2 else (-1, -1)
@@ -558,7 +549,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
         raise ShapeError(f"lstm_step: x {xd.shape}, h {hd.shape}, c {cd.shape}, "
                          f"wx {wxd.shape}, wh {whd.shape}, b {bd.shape}")
     for name, arr, shape in (("gate_mask", gate_mask, (rows, 4 * n)),
-                             ("out_mask", out_mask, hd.shape), ("keep", keep, (rows, 1))):
+                             ("out_mask", out_mask, hd.shape)):
         if arr is not None and np.shape(arr) != shape:
             raise ShapeError(f"lstm_step: {name} {np.shape(arr)} does not match {shape}")
     pre = xd @ wxd + bd + hd @ whd
@@ -574,31 +565,17 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
     h_new = go * tc
     if out_mask is not None:
         h_new = h_new * out_mask
-    if keep is not None:
-        keep = np.asarray(keep, dtype=np.float64)
-        drop = 1.0 - keep
-        h_out = h_new * keep + hd * drop
-        c_out = c_new * keep + cd * drop
-    else:
-        h_out, c_out = h_new, c_new
 
     def backward_fn(grads):
         g_h, g_c = grads     # of h' and c'; None for an output that got none
-        if g_c is not None and keep is not None:
-            _accum(c, g_c * drop)
-            g_c = g_c * keep
         if g_h is None:
             g_go = np.zeros_like(tc)
         else:
-            if keep is not None:
-                _accum(h, g_h * drop)
-                g_h = g_h * keep
             if out_mask is not None:
                 g_h = g_h * out_mask
             g_go = g_h * tc
             g_tanh = g_h * go * (1.0 - tc * tc)
             g_c = g_tanh if g_c is None else g_c + g_tanh
-        # from here g_c is the gradient of the unblended c_new
         g_s = np.concatenate([g_c * gc, g_c * cd, g_go], axis=1)
         g_pre = np.concatenate([g_s * s * (1.0 - s), g_c * gi * (1.0 - gc * gc)], axis=1)
         if gate_mask is not None:
@@ -610,7 +587,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
         _accum(wx, xd.T @ g_pre)
         _accum(b, g_pre.sum(axis=0))
 
-    outs = (Tensor(h_out), Tensor(c_out))
+    outs = (Tensor(h_new), Tensor(c_new))
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in (x, h, c, wx, wh, b)):
         for out in outs:

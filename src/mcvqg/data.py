@@ -314,7 +314,8 @@ def _check_ids(ids, vocab_size, line_no, what):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSONL dataset; malformed lines raise with their line number."""
+    """Read a JSONL dataset; malformed lines (an empty caption or a
+    non-finite feature among them) raise ValueError with their line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -349,12 +350,15 @@ def load_dataset(path) -> Dataset:
             bid = rec["id"]
         except (KeyError, TypeError) as e:
             raise ValueError(f"line {k}: missing or malformed field: {e}") from None
-        if image_feat.shape != (image_dim,):
-            raise ValueError(f"line {k}: image_feat has shape {image_feat.shape}, "
-                             f"header says ({image_dim},)")
-        if place_feat.shape != (place_dim,):
-            raise ValueError(f"line {k}: place_feat has shape {place_feat.shape}, "
-                             f"header says ({place_dim},)")
+        for what, feat, dim in (("image_feat", image_feat, image_dim),
+                                ("place_feat", place_feat, place_dim)):
+            if feat.shape != (dim,):
+                raise ValueError(f"line {k}: {what} has shape {feat.shape}, "
+                                 f"header says ({dim},)")
+            if not np.isfinite(feat).all():
+                raise ValueError(f"line {k}: {what} has non-finite values")
+        if not caption:
+            raise ValueError(f"line {k}: caption is empty")
         _check_ids(caption, vsz, k, "caption")
         if not questions:
             raise ValueError(f"line {k}: bundle has no questions")

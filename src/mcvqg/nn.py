@@ -114,22 +114,19 @@ class BayesianLSTMCell:
             out=ad.dropout_mask((batch, h), self.p, self.kind, rng.child("out")),
         )
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor, masks: LstmMasks, keep=None):
-        """One timestep; (x, h, c) are (B, *) rows, returns (h', c'). A (B, 1)
-        0/1 `keep` column holds the rows flagged 0 at (h, c)."""
-        return ad.lstm_step(x, h, c, self.wx, self.wh, self.b, masks.gates, masks.out, keep)
+    def step(self, x: Tensor, h: Tensor, c: Tensor, masks: LstmMasks):
+        """One timestep; (x, h, c) are (B, *) rows, returns (h', c')."""
+        return ad.lstm_step(x, h, c, self.wx, self.wh, self.b, masks.gates, masks.out)
 
     def initial_state(self, batch: int):
         z = np.zeros((batch, self.hidden_size))
         return Tensor(z), Tensor(z.copy())
 
-    def sequence(self, inputs, rng: RngStream = None, masks: LstmMasks = None,
-                 step_mask=None):
+    def sequence(self, inputs, rng: RngStream = None, masks: LstmMasks = None):
         """Run the cell over a list of (B, input) tensors with one mask draw.
 
-        step_mask: optional (B, T) 0/1 array; steps flagged 0 leave (h, c)
-        unchanged for that row, so right-padded sequences end at their true
-        final state (the padded arithmetic is exact: 1*new + 0*old).
+        Every row runs every step; a caller with right-padded rows picks
+        each row's state at its true length from the per-step states.
         Returns (per-step hidden states, final hidden state).
         """
         inputs = list(inputs)
@@ -140,9 +137,8 @@ class BayesianLSTMCell:
             masks = self.sample_masks(batch, rng)
         h, c = self.initial_state(batch)
         outputs = []
-        for t, x in enumerate(inputs):
-            keep = None if step_mask is None else step_mask[:, t:t + 1]
-            h, c = self.step(x, h, c, masks, keep)
+        for x in inputs:
+            h, c = self.step(x, h, c, masks)
             outputs.append(h)
         return outputs, h
 
@@ -234,14 +230,23 @@ def save_checkpoint(path, params: dict, meta: dict = None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (name -> ndarray, meta)."""
+    """Read a checkpoint; returns (name -> ndarray, meta). A file that is
+    not a checkpoint object of finite parameters raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint file: {path}")
+    if not isinstance(payload.get("params"), dict):
+        raise ValueError(f"checkpoint params are not a JSON object: {path}")
     arrays = {}
     for name, rec in payload["params"].items():
-        arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+        try:
+            arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"checkpoint parameter {name} is malformed "
+                             f"({type(e).__name__}: {e}): {path}") from None
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint parameter {name} has non-finite values: {path}")
         arrays[name] = arr
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):

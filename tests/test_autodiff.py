@@ -61,6 +61,16 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("a_shape,b_shape", [((3,), (3, 2)), ((2, 3), (3,)),
+                                                 ((3,), (3,)), ((1, 2, 3), (3, 2))])
+    def test_matmul_takes_2d_operands_only(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="2-D"):
+            ad.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+    def test_affine_takes_a_2d_input_only(self):
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+
     def test_elementwise_requires_identical_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((3,)))
@@ -586,7 +596,7 @@ class TestGradCheck:
         rng = np.random.default_rng(8)
         q = rng.normal(size=(5, 5))
         q = q + q.T
-        x = Tensor(rng.normal(size=5), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 1)), requires_grad=True)
 
         def f():
             qx = ad.matmul(Tensor(q), x)

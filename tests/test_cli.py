@@ -107,6 +107,25 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("ERROR DATASET_INVALID:")
 
+    @pytest.mark.parametrize("field,value", [("caption", []),
+                                             ("image_feat", float("nan"))])
+    def test_bad_example_is_one_dataset_error(self, workspace, tmp_path, capsys,
+                                              field, value):
+        lines = (workspace / "data.jsonl").read_text().splitlines()
+        rec = json.loads(lines[3])
+        if field == "caption":
+            rec[field] = value
+        else:
+            rec[field][0] = value
+        lines[3] = json.dumps(rec)
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--dataset", str(data)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR DATASET_INVALID: line 4")
+
     def test_missing_out_dir_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl", "")
         assert main(["train", "--config", str(cfg)]) == 1
@@ -150,6 +169,20 @@ class TestEval:
         assert main(["eval", "--config", str(workspace / "cfg.json"),
                      "--checkpoint", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("ERROR CHECKPOINT_INVALID:")
+
+    @pytest.mark.parametrize("case", ["not-an-object", "nan-parameter"])
+    def test_malformed_checkpoint_is_one_error(self, workspace, tmp_path, capsys, case):
+        payload = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        if case == "not-an-object":
+            payload = [1, 2]
+        else:
+            next(iter(payload["params"].values()))["data"][0] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["eval", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR CHECKPOINT_INVALID:")
 
     @pytest.fixture
     def swapped(self, workspace, tmp_path):

@@ -211,6 +211,27 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 3.*image_feat"):
             load_dataset(self._write(tmp_path, lines))
 
+    def test_empty_caption_line_numbered(self, tmp_path):
+        # one empty caption would otherwise train inside a batch and fail
+        # only when its example is encoded alone
+        lines = self._valid_lines()
+        rec = json.loads(lines[2])
+        rec["caption"] = []
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ValueError, match="line 3.*caption is empty"):
+            load_dataset(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize("field", ["image_feat", "place_feat"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_feature_line_numbered(self, tmp_path, field, value):
+        # json reads NaN and Infinity literals
+        lines = self._valid_lines()
+        rec = json.loads(lines[2])
+        rec[field][1] = value
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ValueError, match=f"line 3.*{field}.*non-finite"):
+            load_dataset(self._write(tmp_path, lines))
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

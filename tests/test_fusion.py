@@ -29,6 +29,44 @@ class TestCueEncoders:
                                    ids[0:1, :3], np.array([3]))
         assert np.allclose(batched.data[0], solo.data[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("lengths", [[0, 5], [3, 6], [-1, 2], [3]])
+    def test_caption_lengths_outside_one_to_l_rejected(self, lengths):
+        enc = self._encoders()
+        ids = np.array([[5, 6, 7, PAD, PAD], [8, 9, 10, 11, 12]])
+        with pytest.raises(ValueError, match="caption lengths"):
+            cues.encode_caption(enc.caption_cell, enc.embedding, ids, np.array(lengths))
+
+    # rows of lengths 3, 1, 5; ids 9-11 occur only past a row's length
+    RAGGED_IDS = np.array([[1, 2, 3, 9, 10], [4, 11, 9, 10, 11], [5, 6, 7, 8, 1]])
+    RAGGED_LENGTHS = np.array([3, 1, 5])
+
+    def _ragged_caption_loss(self, kind):
+        cell = BayesianLSTMCell(4, 3, p=0.3, kind=kind, rng=RngStream(30))
+        emb = EmbeddingTable(12, 4, RngStream(31))
+        weights = Tensor(RngStream(32).normal((3, 3)))
+
+        def f():
+            # a fresh stream per call draws the same masks every time
+            h = cues.encode_caption(cell, emb, self.RAGGED_IDS, self.RAGGED_LENGTHS,
+                                    rng=RngStream(33))
+            return ad.sum_all(ad.mul(h, ad.mul(h, weights)))
+        return f, [emb.weight, cell.wx, cell.wh, cell.b]
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+    def test_ragged_caption_gradients_match_fd(self, kind):
+        f, params = self._ragged_caption_loss(kind)
+        assert ad.grad_check(f, params, h=1e-5) <= 1e-6
+
+    def test_tokens_past_a_rows_length_get_zero_gradient(self):
+        f, params = self._ragged_caption_loss("bernoulli")
+        emb = params[0]
+        with ad.Tape() as tape:
+            loss = f()
+        tape.backward(loss)
+        assert np.all(emb.grad[[9, 10, 11]] == 0.0)
+        assert np.all(emb.grad[[0]] == 0.0)          # PAD is not read at all
+        assert np.all(np.abs(emb.grad[1:9]).sum(axis=1) > 0)
+
     def test_all_pad_tags_encode_as_pad_sequence(self):
         enc = self._encoders()
         tag_ids = np.zeros((1, 15), dtype=np.int64)

@@ -1,6 +1,8 @@
 """Bayesian blocks: MC-dropout MLP behaviour, variational LSTM tying,
 embedding/one-hot equality, MC statistics, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -132,14 +134,6 @@ class TestBayesianLSTMCell:
         _, b = cell.sequence(inputs, rng=RngStream(9, stream=1))
         assert np.array_equal(a.data, b.data)
 
-    def test_step_mask_freezes_padded_rows(self):
-        cell = nn.BayesianLSTMCell(2, 3, p=0.0, kind="none", rng=RngStream(5))
-        xs = [np.array([[0.4, 0.2], [1.0, -0.5]]), np.array([[0.1, 0.9], [2.0, 2.0]])]
-        step_mask = np.array([[1, 1], [1, 0]])   # row 1 has true length 1
-        _, h = cell.sequence([Tensor(x) for x in xs], step_mask=step_mask)
-        _, h_short = cell.sequence([Tensor(xs[0][1:2])])
-        assert np.array_equal(h.data[1], h_short.data[0])
-
     def test_gradients_match_fd_with_frozen_masks(self):
         cell = nn.BayesianLSTMCell(2, 3, p=0.3, kind="bernoulli", rng=RngStream(6))
         inputs = [Tensor(np.array([[0.5, -0.2], [0.1, 0.8]])) for _ in range(3)]
@@ -165,34 +159,27 @@ def _lstm_operands():
 class TestLstmStep:
     """The fused op, against the straight-line oracle and central differences."""
 
-    KEEP = np.array([[1.0], [0.0], [1.0]])    # row 1 is a padded step
-
     def _masks(self, kind):
         gates = ad.dropout_mask((3, 12), 0.3, kind, RngStream(21).child("gates"))
         out = ad.dropout_mask((3, 3), 0.3, kind, RngStream(21).child("out"))
         return gates, out
 
-    def test_values_match_manual_with_masks_and_keep(self):
+    def test_values_match_manual_with_masks(self):
         ops = _lstm_operands()
         gates, out = self._masks("gaussian")
-        h2, c2 = ad.lstm_step(*ops, gates, out, self.KEEP)
+        h2, c2 = ad.lstm_step(*ops, gates, out)
         want_h, want_c = manual_lstm_step(*(t.data for t in ops), gmask=gates, omask=out)
-        for row in (0, 2):
-            assert np.allclose(h2.data[row], want_h[row], rtol=1e-14)
-            assert np.allclose(c2.data[row], want_c[row], rtol=1e-14)
-        # keep 0 passes the old state through bitwise
-        assert h2.data[1].tobytes() == ops[1].data[1].tobytes()
-        assert c2.data[1].tobytes() == ops[2].data[1].tobytes()
+        assert np.allclose(h2.data, want_h, rtol=1e-14)
+        assert np.allclose(c2.data, want_c, rtol=1e-14)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
-    @pytest.mark.parametrize("keep", [None, KEEP])
-    def test_gradients_match_fd(self, kind, keep):
+    def test_gradients_match_fd(self, kind):
         ops = _lstm_operands()
         gates, out = self._masks(kind)
         wh_, wc_ = RngStream(22).normal((3, 3)), RngStream(23).normal((3, 3))
 
         def f():
-            h2, c2 = ad.lstm_step(*ops, gates, out, keep)
+            h2, c2 = ad.lstm_step(*ops, gates, out)
             return ad.add(ad.sum_all(ad.mul(h2, Tensor(wh_))),
                           ad.sum_all(ad.mul(c2, ad.mul(c2, Tensor(wc_)))))
 
@@ -205,7 +192,7 @@ class TestLstmStep:
         gates, out = self._masks("bernoulli")
 
         def f():
-            h2, c2 = ad.lstm_step(*ops, gates, out, self.KEEP)
+            h2, c2 = ad.lstm_step(*ops, gates, out)
             y = h2 if read == "h" else c2
             return ad.sum_all(ad.mul(y, y))
 
@@ -214,7 +201,7 @@ class TestLstmStep:
     def test_one_tape_node_per_step(self):
         ops = _lstm_operands()
         with Tape() as tape:
-            h2, c2 = ad.lstm_step(*ops, keep=self.KEEP)
+            h2, c2 = ad.lstm_step(*ops)
             assert len(tape) == 1
             ad.lstm_step(Tensor(ops[0].data), h2, c2, *ops[3:])
             assert len(tape) == 2
@@ -223,8 +210,8 @@ class TestLstmStep:
         x, h, c, wx, wh, b = _lstm_operands()
         with pytest.raises(ad.ShapeError):
             ad.lstm_step(x, h, c, wh, wx, b)
-        with pytest.raises(ad.ShapeError, match="keep"):
-            ad.lstm_step(x, h, c, wx, wh, b, keep=np.ones((3, 3)))
+        with pytest.raises(ad.ShapeError, match="out_mask"):
+            ad.lstm_step(x, h, c, wx, wh, b, out_mask=np.ones((3, 1)))
         with pytest.raises(ad.ShapeError, match="gate_mask"):
             ad.lstm_step(x, h, c, wx, wh, b, gate_mask=np.ones((3, 3)))
 
@@ -353,6 +340,30 @@ class TestCheckpoint:
         path = tmp_path / "junk.json"
         path.write_text("{}")
         with pytest.raises(ValueError):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"format": nn.CHECKPOINT_FORMAT},
+        {"format": nn.CHECKPOINT_FORMAT, "params": [1]},
+        {"format": nn.CHECKPOINT_FORMAT, "params": {"w": {"shape": [2]}}},
+        {"format": nn.CHECKPOINT_FORMAT, "params": {"w": 1}},
+        {"format": nn.CHECKPOINT_FORMAT, "params": {"w": {"shape": [3], "data": [1.0]}}},
+    ], ids=["list", "no-params", "params-list", "no-data", "record-int", "bad-shape"])
+    def test_malformed_checkpoint_raises_value_error(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_parameter_rejected(self, tmp_path, value):
+        path = tmp_path / "ck.json"
+        nn.save_checkpoint(path, {"w": Tensor(np.ones((2, 3)), requires_grad=True)})
+        payload = json.loads(path.read_text())
+        payload["params"]["w"]["data"][4] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="w has non-finite"):
             nn.load_checkpoint(path)
 
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
