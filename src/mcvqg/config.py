@@ -55,12 +55,6 @@ class RunConfig:
     mc_inference: bool = True    # False: dropout stays off at decision time
     decision_mode: str = "deterministic"
     bleu_mode: str = "max"
-    smooth_bleu: bool = False
-    track_val_bleu: bool = False
-    share_embedding: bool = True
-    share_caption_tag_out: bool = False
-    per_category_tags: bool = False
-    temperature: float = 1.0
     dataset: str = ""
     out_dir: str = ""
 
@@ -96,8 +90,6 @@ class RunConfig:
             raise ValueError(f"decision mode must be one of {DECISION_MODES}")
         if self.bleu_mode not in BLEU_MODES:
             raise ValueError(f"bleu mode must be one of {BLEU_MODES}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         return self
 
 

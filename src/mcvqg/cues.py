@@ -2,8 +2,6 @@
 LSTMs over caption and tag token sequences. Every encoder maps its cue into
 the shared d-dimensional embedding space."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -40,28 +38,15 @@ def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.nd
 
 
 def encode_tags(cell: BayesianLSTMCell, embedding: EmbeddingTable, tag_ids: np.ndarray,
-                rng: RngStream = None, per_category: bool = False) -> Tensor:
-    """Final hidden state over the 15-token tag sequence (noun||verb||question).
-    With per_category=True each 5-token category runs separately through the
-    cell and the three final states are averaged."""
+                rng: RngStream = None) -> Tensor:
+    """Final hidden state after one pass of the cell over the 15-token tag
+    sequence (noun||verb||question slots, in that order)."""
     tag_ids = np.asarray(tag_ids, dtype=np.int64)
     if tag_ids.ndim != 2 or tag_ids.shape[1] != 3 * TAG_SLOTS:
         raise ValueError(f"tag ids must be (B, {3 * TAG_SLOTS}), got {tag_ids.shape}")
-    if not per_category:
-        inputs = [embedding.lookup(tag_ids[:, t]) for t in range(tag_ids.shape[1])]
-        _, final = cell.sequence(inputs, rng=rng)
-        return final
-    batch = tag_ids.shape[0]
-    masks = cell.sample_masks(batch, rng)
-    finals = []
-    for c in range(3):
-        block = tag_ids[:, c * TAG_SLOTS:(c + 1) * TAG_SLOTS]
-        inputs = [embedding.lookup(block[:, t]) for t in range(TAG_SLOTS)]
-        _, final = cell.sequence(inputs, masks=masks)
-        finals.append(final)
-    acc = ad.add(finals[0], finals[1])
-    acc = ad.add(acc, finals[2])
-    return ad.scale(acc, 1.0 / 3.0)
+    inputs = [embedding.lookup(tag_ids[:, t]) for t in range(tag_ids.shape[1])]
+    _, final = cell.sequence(inputs, rng=rng)
+    return final
 
 
 class CueEncoders:
@@ -69,13 +54,11 @@ class CueEncoders:
 
     def __init__(self, cues, image_dim: int, place_dim: int, embed_dim: int,
                  hidden_dim: int, vocab_size: int, p: float, kind: str,
-                 rng: RngStream, embedding: EmbeddingTable = None,
-                 per_category_tags: bool = False):
+                 rng: RngStream, embedding: EmbeddingTable = None):
         unknown = set(cues) - set(CUE_NAMES)
         if unknown:
             raise ValueError(f"unknown cues: {sorted(unknown)}")
         self.cues = tuple(c for c in CUE_NAMES if c in set(cues))
-        self.per_category_tags = per_category_tags
         self.embedding = embedding
         self.image_net = self.place_net = None
         self.caption_cell = self.tag_cell = None
@@ -111,7 +94,7 @@ class CueEncoders:
                                             sub("caption"))
         if self.tag_cell is not None:
             out["tag"] = encode_tags(self.tag_cell, self.embedding, batch.tag_ids,
-                                     sub("tag"), per_category=self.per_category_tags)
+                                     sub("tag"))
         return out
 
     def named_params(self, prefix: str = "enc"):

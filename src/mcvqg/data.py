@@ -314,8 +314,9 @@ def _check_ids(ids, vocab_size, line_no, what):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSONL dataset; malformed lines (an empty caption or a
-    non-finite feature among them) raise ValueError with their line number."""
+    """Read a JSONL dataset; malformed lines (an empty caption, a non-finite
+    or non-numeric feature, or a scene that is not an object of the five
+    slots among them) raise ValueError with their line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -325,9 +326,11 @@ def load_dataset(path) -> Dataset:
         vocab_list = header["vocab"]
         image_dim = int(header["image_dim"])
         place_dim = int(header["place_dim"])
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"line 1: bad dataset header: {e}") from None
-    if list(vocab_list[:4]) != list(RESERVED_TOKENS):
+    if not isinstance(vocab_list, list) or not all(isinstance(w, str) for w in vocab_list):
+        raise ValueError("line 1: vocab must be a list of strings")
+    if vocab_list[:4] != list(RESERVED_TOKENS):
         raise ValueError("line 1: vocab must begin with the four reserved tokens")
     vocab = Vocabulary(vocab_list[4:])
     vsz = len(vocab)
@@ -348,7 +351,8 @@ def load_dataset(path) -> Dataset:
                           question=list(rec["tags"]["question"]))
             questions = [list(q) for q in rec["questions"]]
             bid = rec["id"]
-        except (KeyError, TypeError) as e:
+            scene = SceneSpec(**rec["scene"]) if "scene" in rec else None
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"line {k}: missing or malformed field: {e}") from None
         for what, feat, dim in (("image_feat", image_feat, image_dim),
                                 ("place_feat", place_feat, place_dim)):
@@ -371,9 +375,6 @@ def load_dataset(path) -> Dataset:
         except ValueError as e:
             raise ValueError(f"line {k}: {e}") from None
         _check_ids(tags.sequence(), vsz, k, "tags")
-        scene = None
-        if "scene" in rec:
-            scene = SceneSpec(**rec["scene"])
         bundles.append(CueBundle(id=bid, image_feat=image_feat, place_feat=place_feat,
                                  caption=caption, tags=tags, questions=questions,
                                  scene=scene))

@@ -70,7 +70,7 @@ class Decoder:
         v = ad.softplus(ad.affine(h, self.w_var, self.b_var))
         return y, v
 
-    def named_params(self, prefix: str = "dec", include_embedding: bool = False):
+    def named_params(self, prefix: str = "dec"):
         out = {
             f"{prefix}.in_proj.w": self.in_proj_w,
             f"{prefix}.in_proj.b": self.in_proj_b,
@@ -80,8 +80,6 @@ class Decoder:
             f"{prefix}.b_var": self.b_var,
         }
         out.update(self.cell.named_params(f"{prefix}.cell"))
-        if include_embedding:
-            out.update(self.embedding.named_params(f"{prefix}.emb"))
         return out
 
 
@@ -118,9 +116,7 @@ def decode_teacher_forced(dec: Decoder, g_enc: Tensor, gold: np.ndarray,
     batch, length = gold.shape
     if masks is None:
         masks = dec.cell.sample_masks(batch, rng.child("cell") if rng else None)
-    h, c = dec.cell.initial_state(batch)
-    x = dec.project_encoding(g_enc)
-    h, c = dec.cell.step(x, h, c, masks)
+    h, c = _start(dec, g_enc, masks)
     logits, variances = [], []
     for t in range(length - 1):
         x = dec.embedding.lookup(gold[:, t])

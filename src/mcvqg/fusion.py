@@ -11,8 +11,6 @@ concatenation+projection combiner stands in for the moderator in the
 mixture ablations.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -24,10 +22,10 @@ SIMPLEX_TOL = 1e-9
 
 
 class CueFusion:
-    """Fusion weights for a fixed tuple of non-image cues."""
+    """Fusion weights for a fixed tuple of non-image cues: W_i shared by
+    every cue, and W_B, b_B and W_BB owned by cue B alone."""
 
-    def __init__(self, dim: int, cues, p: float, kind: str, rng: RngStream,
-                 share_caption_tag_out: bool = False):
+    def __init__(self, dim: int, cues, p: float, kind: str, rng: RngStream):
         self.dim = int(dim)
         self.cues = tuple(cues)
         self.p = float(p)
@@ -39,10 +37,7 @@ class CueFusion:
         for cue in self.cues:
             self.w_cue[cue] = init_matrix(dim, dim, rng.child(("w", cue)))
             self.bias[cue] = init_bias(dim)
-            if share_caption_tag_out and cue == "tag" and "caption" in self.w_out:
-                self.w_out[cue] = self.w_out["caption"]   # literal shared-matrix reading
-            else:
-                self.w_out[cue] = init_matrix(dim, dim, rng.child(("w_out", cue)))
+            self.w_out[cue] = init_matrix(dim, dim, rng.child(("w_out", cue)))
 
     def fuse(self, cue: str, g_img: Tensor, g_cue: Tensor,
              rng: RngStream = None) -> Tensor:
@@ -66,22 +61,16 @@ class CueFusion:
         for cue in self.cues:
             out[f"{prefix}.{cue}.w"] = self.w_cue[cue]
             out[f"{prefix}.{cue}.b"] = self.bias[cue]
-            key = f"{prefix}.{cue}.w_out"
-            if self.w_out[cue] is self.w_out.get("caption") and cue == "tag":
-                continue   # shared tensor already emitted under caption
-            out[key] = self.w_out[cue]
+            out[f"{prefix}.{cue}.w_out"] = self.w_out[cue]
         return out
 
 
 class Moderator:
     """Mixture-of-experts gate: scores fused cues against a gating embedding
-    derived from the raw image features."""
+    derived from the raw image features, and softmaxes the raw scores into
+    the expert weights."""
 
-    def __init__(self, image_dim: int, dim: int, p: float, kind: str, rng: RngStream,
-                 temperature: float = 1.0):
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        self.temperature = float(temperature)
+    def __init__(self, image_dim: int, dim: int, p: float, kind: str, rng: RngStream):
         self.gate_net = BayesianMLP([image_dim, dim, dim], p, kind, rng.child("gate_net"))
 
     def gate(self, mus: dict, image_feats: Tensor, rng: RngStream = None):
@@ -96,10 +85,7 @@ class Moderator:
         for cue in order:
             s = ad.dot_rows(mus[cue], g_gat)
             cols.append(ad.reshape(s, (s.shape[0], 1)))
-        scores = ad.concat(cols, axis=1)
-        if self.temperature != 1.0:
-            scores = ad.scale(scores, 1.0 / self.temperature)
-        return ad.row_softmax(scores), order
+        return ad.row_softmax(ad.concat(cols, axis=1)), order
 
     def named_params(self, prefix: str = "moderator"):
         return self.gate_net.named_params(f"{prefix}.gate")

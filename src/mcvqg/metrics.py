@@ -42,31 +42,26 @@ def _clipped_counts(candidate, references, k: int):
     return clipped, total
 
 
-def _precision_log_sum(pairs, smooth: bool):
+def _precision_log_sum(pairs):
     """Sum of log precisions over (clipped, total) pairs; None means the
-    score is identically zero (an order with no matches and no smoothing, or
-    no n-grams at all)."""
+    score is identically zero (an order with no matches, which includes an
+    order with no n-grams at all)."""
     acc = 0.0
     for clipped, total in pairs:
-        if total == 0:
-            return None
         if clipped == 0:
-            if not smooth:
-                return None
-            acc += math.log(1.0 / (total + 1.0))
-        else:
-            acc += math.log(clipped / total)
+            return None
+        acc += math.log(clipped / total)
     return acc
 
 
-def bleu_n(candidate, references, n: int, smooth: bool = False) -> float:
-    """BLEU of order n in [0, 1].
+def bleu_n(candidate, references, n: int) -> float:
+    """BLEU of order n in [0, 1], unsmoothed.
 
     Precision at each order 1..n clips candidate n-gram counts by the
     per-reference maximum; the score is the geometric mean times the brevity
     penalty exp(1 - r/c) for candidates shorter than the closest reference.
-    smooth=True scores zero-match orders as 1/(total+1) instead of failing
-    the whole product. An empty candidate scores 0.
+    An order with no clipped match makes the whole score 0, and so does an
+    empty candidate.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"BLEU order must be 1..4, got {n}")
@@ -77,7 +72,7 @@ def bleu_n(candidate, references, n: int, smooth: bool = False) -> float:
     if c == 0:
         return 0.0
     pairs = [_clipped_counts(candidate, references, k) for k in range(1, n + 1)]
-    log_sum = _precision_log_sum(pairs, smooth)
+    log_sum = _precision_log_sum(pairs)
     if log_sum is None:
         return 0.0
     r = _closest_ref_length(c, references)
@@ -85,7 +80,7 @@ def bleu_n(candidate, references, n: int, smooth: bool = False) -> float:
     return bp * math.exp(log_sum / n)
 
 
-def corpus_bleu(candidates, references_list, n: int, smooth: bool = False) -> float:
+def corpus_bleu(candidates, references_list, n: int) -> float:
     """Corpus BLEU: clipped counts and totals are summed over all examples
     before taking ratios; the brevity penalty compares summed lengths."""
     if not 1 <= n <= 4:
@@ -108,7 +103,7 @@ def corpus_bleu(candidates, references_list, n: int, smooth: bool = False) -> fl
             totals[k - 1][1] += total
     if c_sum == 0:
         return 0.0
-    log_sum = _precision_log_sum([tuple(t) for t in totals], smooth)
+    log_sum = _precision_log_sum([tuple(t) for t in totals])
     if log_sum is None:
         return 0.0
     bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
@@ -231,14 +226,14 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_corpus(candidates, references_list, bleu_mode: str = "max",
-                    smooth: bool = False) -> EvalReport:
+def evaluate_corpus(candidates, references_list, bleu_mode: str = "max") -> EvalReport:
     """Score a corpus of candidates against per-example reference sets.
 
     bleu_mode "max" scores each example against each reference separately
     and keeps the best (then means over examples); "corpus" aggregates
-    clipped counts across the corpus. ROUGE-L is always the per-example max;
-    CIDEr is corpus-level by construction.
+    clipped counts across the corpus. BLEU is unsmoothed in both modes.
+    ROUGE-L is always the per-example max; CIDEr is corpus-level by
+    construction.
     """
     if bleu_mode not in ("max", "corpus"):
         raise ValueError(f"unknown bleu_mode {bleu_mode!r}")
@@ -249,12 +244,12 @@ def evaluate_corpus(candidates, references_list, bleu_mode: str = "max",
     for cand, refs, cd in zip(candidates, references_list, cider_scores):
         row = {}
         for n in range(1, 5):
-            row[f"bleu{n}"] = 100.0 * max(bleu_n(cand, [ref], n, smooth) for ref in refs)
+            row[f"bleu{n}"] = 100.0 * max(bleu_n(cand, [ref], n) for ref in refs)
         row["rouge_l"] = 100.0 * rouge_l(cand, refs)
         row["cider"] = cd
         per_example.append(row)
     if bleu_mode == "corpus":
-        bleu = {n: 100.0 * corpus_bleu(candidates, references_list, n, smooth)
+        bleu = {n: 100.0 * corpus_bleu(candidates, references_list, n)
                 for n in range(1, 5)}
     else:
         count = len(per_example)

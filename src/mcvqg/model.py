@@ -89,9 +89,7 @@ class FusedEncoding:
 class MultiCueModel:
     def __init__(self, *, cues, combiner: str, image_dim: int, place_dim: int,
                  embed_dim: int, enc_dim: int, hidden_dim: int, vocab_size: int,
-                 dropout_rate: float, dropout_kind: str, rng: RngStream,
-                 share_embedding: bool = True, share_caption_tag_out: bool = False,
-                 per_category_tags: bool = False, temperature: float = 1.0):
+                 dropout_rate: float, dropout_kind: str, rng: RngStream):
         self.cues = tuple(c for c in CUE_NAMES if c in set(cues))
         if not self.cues:
             raise ValueError("cue set must be nonempty")
@@ -106,27 +104,21 @@ class MultiCueModel:
         self.embedding = EmbeddingTable(vocab_size, embed_dim, rng.child("embedding"))
         self.encoders = CueEncoders(self.cues, image_dim, place_dim, embed_dim,
                                     enc_dim, vocab_size, dropout_rate, dropout_kind,
-                                    rng.child("encoders"), embedding=self.embedding,
-                                    per_category_tags=per_category_tags)
+                                    rng.child("encoders"), embedding=self.embedding)
         self.fused_cues = tuple(c for c in self.cues if c != "image")
         self.fusion = self.moderator = self.mixture = None
         if len(self.cues) >= 2:
             self.fusion = CueFusion(enc_dim, self.fused_cues, dropout_rate,
-                                    dropout_kind, rng.child("fusion"),
-                                    share_caption_tag_out=share_caption_tag_out)
+                                    dropout_kind, rng.child("fusion"))
             if combiner == "moderator":
                 self.moderator = Moderator(image_dim, enc_dim, dropout_rate,
-                                           dropout_kind, rng.child("moderator"),
-                                           temperature=temperature)
+                                           dropout_kind, rng.child("moderator"))
             else:
                 self.mixture = MixtureCombiner(len(self.fused_cues), enc_dim,
                                                rng.child("mixture"))
-        self.share_embedding = bool(share_embedding)
-        dec_embedding = self.embedding if self.share_embedding else \
-            EmbeddingTable(vocab_size, embed_dim, rng.child("decoder_embedding"))
         self.decoder = Decoder(enc_dim, embed_dim, hidden_dim, vocab_size,
                                dropout_rate, dropout_kind, rng.child("decoder"),
-                               dec_embedding)
+                               self.embedding)
 
     def encode(self, batch: Batch, rng: RngStream = None,
                stochastic: bool = True) -> FusedEncoding:
@@ -160,9 +152,7 @@ class MultiCueModel:
             out.update(self.moderator.named_params("moderator"))
         if self.mixture is not None:
             out.update(self.mixture.named_params("mixture"))
-        out.update(self.decoder.named_params("dec", include_embedding=False))
-        if not self.share_embedding:
-            out.update(self.decoder.embedding.named_params("dec.emb"))
+        out.update(self.decoder.named_params("dec"))
         return out
 
     def dropout_components(self):

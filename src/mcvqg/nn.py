@@ -122,8 +122,9 @@ class BayesianLSTMCell:
         z = np.zeros((batch, self.hidden_size))
         return Tensor(z), Tensor(z.copy())
 
-    def sequence(self, inputs, rng: RngStream = None, masks: LstmMasks = None):
-        """Run the cell over a list of (B, input) tensors with one mask draw.
+    def sequence(self, inputs, rng: RngStream = None):
+        """Run the cell over a list of (B, input) tensors under one mask
+        draw from `rng` (no dropout without it), tied across timesteps.
 
         Every row runs every step; a caller with right-padded rows picks
         each row's state at its true length from the per-step states.
@@ -133,8 +134,7 @@ class BayesianLSTMCell:
         if not inputs:
             raise ValueError("lstm sequence: empty input")
         batch = inputs[0].shape[0]
-        if masks is None:
-            masks = self.sample_masks(batch, rng)
+        masks = self.sample_masks(batch, rng)
         h, c = self.initial_state(batch)
         outputs = []
         for x in inputs:

@@ -42,10 +42,7 @@ def build_model(cfg: RunConfig, dataset: Dataset, rng: RngStream = None) -> Mult
         place_dim=dataset.place_dim, embed_dim=cfg.embed_dim,
         enc_dim=cfg.enc_dim, hidden_dim=cfg.hidden_dim,
         vocab_size=len(dataset.vocab.tokens), dropout_rate=cfg.dropout.rate,
-        dropout_kind=cfg.dropout.kind, rng=rng,
-        share_embedding=cfg.share_embedding,
-        share_caption_tag_out=cfg.share_caption_tag_out,
-        per_category_tags=cfg.per_category_tags, temperature=cfg.temperature)
+        dropout_kind=cfg.dropout.kind, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +240,6 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
                     f"non-finite validation pass at epoch {epoch}: {e}") from e
             val_weights.append(len(rows))
         row["val_loss"] = _epoch_mean(val_losses, val_weights)
-        if cfg.track_val_bleu:
-            report, _ = evaluate_model(model, dataset, eval_idx, cfg=cfg,
-                                       decision_mode="deterministic")
-            row["val_bleu1"] = report.bleu[1]
         curve.append(row)
         if row["val_loss"] < best_val:
             best_val = row["val_loss"]
@@ -263,11 +256,7 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
 
 
 def curve_to_csv(curve) -> str:
-    if not curve:
-        return "epoch,train_loss,val_loss,l_gen,l_u\n"
     cols = ["epoch", "train_loss", "val_loss", "l_gen", "l_u"]
-    if "val_bleu1" in curve[0]:
-        cols.append("val_bleu1")
     lines = [",".join(cols)]
     for row in curve:
         lines.append(",".join(repr(row[c]) if c != "epoch" else str(row[c])
@@ -354,8 +343,7 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
         references.append([tokens_to_words(q, vocab) for q in bundle.questions])
         record["words"] = candidates[-1]
         records.append(record)
-    report = evaluate_corpus(candidates, references, bleu_mode=cfg.bleu_mode,
-                             smooth=cfg.smooth_bleu)
+    report = evaluate_corpus(candidates, references, bleu_mode=cfg.bleu_mode)
     return report, records
 
 

@@ -88,6 +88,16 @@ class TestTrain:
         assert err.startswith("ERROR CONFIG_INVALID:")
         assert "cuez" in err
 
+    def test_removed_config_key_is_an_error(self, workspace, tmp_path, capsys):
+        # a key that names no field is named back, never silently ignored
+        cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl",
+                           tmp_path / "run", temperature=1.0)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR CONFIG_INVALID:")
+        assert "'temperature'" in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_config_value_is_an_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", "d.jsonl", "run",
                            dropout={"rate": 1.5})
@@ -108,15 +118,18 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("ERROR DATASET_INVALID:")
 
     @pytest.mark.parametrize("field,value", [("caption", []),
-                                             ("image_feat", float("nan"))])
+                                             ("image_feat", float("nan")),
+                                             ("image_feat", "x"),
+                                             ("scene", {"foo": 1}),
+                                             ("scene", [1])])
     def test_bad_example_is_one_dataset_error(self, workspace, tmp_path, capsys,
                                               field, value):
         lines = (workspace / "data.jsonl").read_text().splitlines()
         rec = json.loads(lines[3])
-        if field == "caption":
-            rec[field] = value
-        else:
+        if field == "image_feat":
             rec[field][0] = value
+        else:
+            rec[field] = value
         lines[3] = json.dumps(rec)
         data = tmp_path / "bad.jsonl"
         data.write_text("\n".join(lines) + "\n")
@@ -125,6 +138,18 @@ class TestTrain:
                      "--dataset", str(data)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR DATASET_INVALID: line 4")
+
+    def test_bad_header_is_one_dataset_error(self, workspace, tmp_path, capsys):
+        lines = (workspace / "data.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["vocab"] = 5
+        lines[0] = json.dumps(header)
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", data, tmp_path / "run")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR DATASET_INVALID: line 1: ")
 
     def test_missing_out_dir_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl", "")

@@ -94,10 +94,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="bleu mode"):
             RunConfig(bleu_mode="min").validate()
 
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError, match="temperature"):
-            RunConfig(temperature=0.0).validate()
-
 
 class TestParsing:
     def test_unknown_top_level_key_rejected(self):

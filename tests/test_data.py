@@ -232,6 +232,48 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=f"line 3.*{field}.*non-finite"):
             load_dataset(self._write(tmp_path, lines))
 
+    @pytest.mark.parametrize("field", ["image_feat", "place_feat"])
+    def test_non_numeric_feature_line_numbered(self, tmp_path, field):
+        lines = self._valid_lines()
+        rec = json.loads(lines[2])
+        rec[field][1] = "x"
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ValueError, match="line 3: .*could not convert"):
+            load_dataset(self._write(tmp_path, lines))
+
+    def test_scene_round_trips(self, tmp_path):
+        ds = synth_generate(3, seed=13)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, ds)
+        assert [b.scene for b in load_dataset(path).bundles] == \
+            [b.scene for b in ds.bundles]
+
+    @pytest.mark.parametrize("scene", [{"foo": 1}, [1], "kitchen"])
+    def test_malformed_scene_line_numbered(self, tmp_path, scene):
+        lines = self._valid_lines()
+        rec = json.loads(lines[2])
+        rec["scene"] = scene
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ValueError, match="line 3: "):
+            load_dataset(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize("vocab", [5, "abc", [None], {"<pad>": 0}])
+    def test_vocab_must_be_a_list_of_strings(self, tmp_path, vocab):
+        lines = self._valid_lines()
+        header = json.loads(lines[0])
+        header["vocab"] = vocab
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError, match="line 1: vocab must be a list of strings"):
+            load_dataset(self._write(tmp_path, lines))
+
+    def test_non_integer_header_dim_line_numbered(self, tmp_path):
+        lines = self._valid_lines()
+        header = json.loads(lines[0])
+        header["image_dim"] = "x"
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError, match="line 1: bad dataset header"):
+            load_dataset(self._write(tmp_path, lines))
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -252,21 +252,16 @@ class TestStreamIsTheSwitch:
 
 class TestNamedParams:
     def test_shared_embedding_appears_once(self):
-        m = small_model(share_embedding=True)
+        m = small_model()
         params = m.named_params()
         assert "embedding.weight" in params
         assert not any(k.startswith("dec.emb") for k in params)
         assert m.decoder.embedding is m.embedding
 
-    def test_unshared_embedding_is_a_second_table(self):
-        m = small_model(share_embedding=False)
-        params = m.named_params()
-        assert "embedding.weight" in params
-        assert "dec.emb.weight" in params
-        assert params["dec.emb.weight"] is not params["embedding.weight"]
-
     def test_no_tensor_registered_twice(self):
-        for kw in ({"share_embedding": True}, {"share_embedding": False}):
+        all_cues = ("image", "place", "caption", "tag")
+        for kw in ({"cues": all_cues}, {"cues": all_cues, "combiner": "mixture"},
+                   {"cues": ("caption",)}):
             params = small_model(**kw).named_params()
             ids = [id(t) for t in params.values()]
             assert len(set(ids)) == len(ids)

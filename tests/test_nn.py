@@ -115,11 +115,11 @@ class TestBayesianLSTMCell:
     def test_masks_tied_across_timesteps(self):
         cell = nn.BayesianLSTMCell(2, 5, p=0.5, kind="bernoulli", rng=RngStream(2))
         rng = RngStream(3)
-        masks = cell.sample_masks(1, rng)
         x = np.array([[1.0, -1.0]])
         inputs = [Tensor(x) for _ in range(3)]
-        _, h = cell.sequence(inputs, masks=masks)
-        # oracle reuses the same masks every step
+        _, h = cell.sequence(inputs, rng=rng)
+        # oracle reuses, every step, the masks the same stream draws
+        masks = cell.sample_masks(1, rng)
         hh = np.zeros((1, 5))
         cc = np.zeros((1, 5))
         for _ in range(3):
@@ -137,10 +137,13 @@ class TestBayesianLSTMCell:
     def test_gradients_match_fd_with_frozen_masks(self):
         cell = nn.BayesianLSTMCell(2, 3, p=0.3, kind="bernoulli", rng=RngStream(6))
         inputs = [Tensor(np.array([[0.5, -0.2], [0.1, 0.8]])) for _ in range(3)]
-        masks = cell.sample_masks(2, RngStream(10))
+        rng = RngStream(10)
+        masks = cell.sample_masks(2, rng)
+        assert masks.gates is not None and masks.out is not None
 
         def f():
-            _, h = cell.sequence(inputs, masks=masks)
+            # the same stream draws the same masks on every call
+            _, h = cell.sequence(inputs, rng=rng)
             return ad.sum_all(ad.mul(h, h))
 
         params = list(cell.named_params("cell").values())

@@ -208,8 +208,7 @@ STEP_CONFIGS = {
     "mumc-off": {"mumc_enabled": False},
     "single-cue": {"cues": ["caption"]},
     "mixture": {"cues": ALL_CUES, "combiner": "mixture"},
-    "gaussian-per-category": {"cues": ALL_CUES, "per_category_tags": True,
-                              "dropout": {"kind": "gaussian", "rate": 0.3}},
+    "gaussian": {"cues": ALL_CUES, "dropout": {"kind": "gaussian", "rate": 0.3}},
 }
 
 
@@ -327,13 +326,6 @@ class TestTrainModel:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train_model(cfg, DS)
 
-    def test_val_bleu_tracking_adds_a_column(self):
-        cfg = tiny_config(track_val_bleu=True,
-                          optimizer={"epochs": 1, "batch_size": 4})
-        result = train_model(cfg, DS)
-        assert "val_bleu1" in result.curve[0]
-        assert 0.0 <= result.curve[0]["val_bleu1"] <= 100.0
-
 
 class TestCurveCsv:
     def test_header_and_rows(self):
@@ -356,13 +348,6 @@ class TestCurveCsv:
 
     def test_empty_curve_is_header_only(self):
         assert curve_to_csv([]) == "epoch,train_loss,val_loss,l_gen,l_u\n"
-
-    def test_bleu_column_appended_when_tracked(self):
-        curve = [{"epoch": 0, "train_loss": 1.0, "val_loss": 1.0,
-                  "l_gen": 1.0, "l_u": 0.0, "val_bleu1": 12.5}]
-        lines = curve_to_csv(curve).strip().split("\n")
-        assert lines[0].endswith(",val_bleu1")
-        assert lines[1].endswith(",12.5")
 
 
 class TestTrainAndSave:

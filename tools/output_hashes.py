@@ -17,7 +17,9 @@ revision and at the change and compares the lines. The first three configs
 copy the model shapes of `perfbench/workloads.py` (copied, so a change to
 the benchmark does not move these hashes). The `ragged-*` configs cut every
 caption to a random length in 1..7, so padded caption rows are exercised,
-under Bernoulli and Gaussian dropout.
+under Bernoulli and Gaussian dropout. `mixture` swaps the moderator for the
+concatenation combiner, and `single-caption` decodes straight from one
+ragged caption cue, so neither fusion nor a combiner runs.
 """
 
 import argparse
@@ -61,6 +63,8 @@ CONFIGS = {
     "ragged-bernoulli": (MC_INFER, 40, True),
     "ragged-gaussian": ({**MC_INFER, "dropout": {"rate": 0.3, "kind": "gaussian"}},
                         40, True),
+    "mixture": ({**MC_INFER, "combiner": "mixture"}, 40, False),
+    "single-caption": ({**MC_INFER, "cues": ["caption"]}, 40, True),
 }
 EVAL_INDICES = list(range(4))
 MC_INDICES = [0, 1]
