@@ -4,8 +4,9 @@ Shape discipline is strict: binary elementwise ops demand identical shapes
 and the only implicit broadcast is scalar * tensor (`scale`). Batched
 variants (`affine` with a row bias, `row_softmax`, `lrt_sample`, ...) are
 separate named operations so that shape bugs surface as errors instead of
-silent broadcasting. Values are checked finite on construction, which makes
-NaN/Inf an error at the op that produced it.
+silent broadcasting. Values are not checked for finiteness here: inputs
+are checked where they enter (`load_dataset`, `load_checkpoint`) and
+computed losses and gradients where they would be applied (`train_model`).
 
 A `Tape` records ops while active (`with Tape() as t:`, resumed by `with t:`)
 and may be swept by `backward` more than once. Each sweep first clears the
@@ -31,11 +32,6 @@ class ShapeError(ValueError):
     pass
 
 
-class NonFiniteError(ValueError):
-    """An operation produced inf/nan — the computation has left the domain
-    the gradients are valid on."""
-
-
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
@@ -47,10 +43,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"non-finite values in tensor of shape {arr.shape}")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -538,8 +531,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
     evaluates in the order of the same step composed from single ops
     (affine, matmul, add, dropout, sigmoid, tanh, mul), and the backward
     adds into each input in that composition's sweep order, so values and
-    gradients equal the composed step's bit for bit. A non-finite
-    preactivation raises NonFiniteError here.
+    gradients equal the composed step's bit for bit.
     """
     xd, hd, cd, wxd, whd, bd = x.data, h.data, c.data, wx.data, wh.data, b.data
     rows, n = hd.shape if hd.ndim == 2 else (-1, -1)
@@ -555,8 +547,6 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
     pre = xd @ wxd + bd + hd @ whd
     if gate_mask is not None:
         pre = pre * gate_mask
-    if not np.isfinite(pre).all():
-        raise NonFiniteError(f"non-finite LSTM preactivation of shape {pre.shape}")
     s = _sigmoid(pre[:, :3 * n])
     gi, gf, go = s[:, :n], s[:, n:2 * n], s[:, 2 * n:]
     gc = np.tanh(pre[:, 3 * n:])

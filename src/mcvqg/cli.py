@@ -18,8 +18,8 @@ from .data import DEFAULT_FEATURE_DIM, DEFAULT_NOISE, EOS, atomic_write, \
     load_dataset, save_dataset, synth_generate
 from .nn import load_checkpoint, restore_params
 from .rng import RngStream
-from .train import (TrainingDiverged, build_model, evaluate_model, split_indices,
-                    train_and_save, variance_csv, variance_records)
+from .train import (TrainingDiverged, build_model, check_dims, evaluate_model,
+                    split_indices, train_and_save, variance_csv, variance_records)
 
 
 class CliError(Exception):
@@ -63,10 +63,18 @@ def _read_dataset(path):
         raise CliError("DATASET_INVALID", str(e)) from e
 
 
+def _check_dims(cfg, dataset):
+    try:
+        check_dims(cfg, dataset)
+    except ValueError as e:
+        raise CliError("CONFIG_INVALID", str(e)) from e
+
+
 def _restore_model(cfg, dataset, checkpoint_path):
     if not os.path.exists(checkpoint_path):
         raise CliError("CHECKPOINT_NOT_FOUND",
                        f"checkpoint file {checkpoint_path} does not exist")
+    _check_dims(cfg, dataset)
     model = build_model(cfg, dataset)
     try:
         arrays, meta = load_checkpoint(checkpoint_path)
@@ -109,6 +117,7 @@ def cmd_train(args) -> int:
         raise CliError("CONFIG_INVALID", "no output directory configured "
                                          "(set `out_dir` or pass --out)")
     dataset = _read_dataset(cfg.dataset)
+    _check_dims(cfg, dataset)
     log = print if args.verbose else None
     result = train_and_save(cfg, dataset, cfg.out_dir, log=log)
     save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
@@ -232,6 +241,7 @@ def cmd_sweep(args) -> int:
         except ValueError as e:
             raise CliError("MANIFEST_INVALID",
                            f"run {name!r} is not a valid config: {e}") from e
+        _check_dims(cfg, dataset)
         run_dir = os.path.join(args.out, name.replace("/", "_"))
         result = train_and_save(cfg, dataset, run_dir)
         save_config(os.path.join(run_dir, "config.json"), cfg)

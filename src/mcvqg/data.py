@@ -9,6 +9,7 @@ are rendered from fixed templates, and every bundle is a pure function of
 import hashlib
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -314,9 +315,10 @@ def _check_ids(ids, vocab_size, line_no, what):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSONL dataset; malformed lines (an empty caption, a non-finite
-    or non-numeric feature, or a scene that is not an object of the five
-    slots among them) raise ValueError with their line number."""
+    """Read a JSONL dataset; malformed lines (a header vocab that repeats a
+    token, an empty caption, a non-finite or non-numeric feature, or a scene
+    that is not an object of the five slots among them) raise ValueError
+    with their line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -332,6 +334,10 @@ def load_dataset(path) -> Dataset:
         raise ValueError("line 1: vocab must be a list of strings")
     if vocab_list[:4] != list(RESERVED_TOKENS):
         raise ValueError("line 1: vocab must begin with the four reserved tokens")
+    repeats = [w for w, count in Counter(vocab_list).items() if count > 1]
+    if repeats:
+        # Vocabulary would drop the repeat and shift every later id
+        raise ValueError(f"line 1: vocab repeats token {repeats[0]!r}")
     vocab = Vocabulary(vocab_list[4:])
     vsz = len(vocab)
 

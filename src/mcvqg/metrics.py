@@ -2,8 +2,7 @@
 
 BLEU-n (clipped n-gram precision, geometric mean over orders, brevity
 penalty), ROUGE-L (LCS F-measure, recall-weighted), and CIDEr (tf-idf n-gram
-cosine over a corpus), plus corpus aggregation into a report and
-first-word-position frequency tables.
+cosine over a corpus), plus corpus aggregation into a report.
 
 Tokens are arbitrary hashables; callers tokenize (and strip reserved ids)
 before scoring.
@@ -11,7 +10,7 @@ before scoring.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CIDER_MAX_ORDER = 4
 ROUGE_BETA = 1.2
@@ -42,20 +41,9 @@ def _clipped_counts(candidate, references, k: int):
     return clipped, total
 
 
-def _precision_log_sum(pairs):
-    """Sum of log precisions over (clipped, total) pairs; None means the
-    score is identically zero (an order with no matches, which includes an
-    order with no n-grams at all)."""
-    acc = 0.0
-    for clipped, total in pairs:
-        if clipped == 0:
-            return None
-        acc += math.log(clipped / total)
-    return acc
-
-
 def bleu_n(candidate, references, n: int) -> float:
-    """BLEU of order n in [0, 1], unsmoothed.
+    """BLEU of order n in [0, 1], unsmoothed: corpus BLEU of a one-example
+    corpus.
 
     Precision at each order 1..n clips candidate n-gram counts by the
     per-reference maximum; the score is the geometric mean times the brevity
@@ -63,21 +51,7 @@ def bleu_n(candidate, references, n: int) -> float:
     An order with no clipped match makes the whole score 0, and so does an
     empty candidate.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"BLEU order must be 1..4, got {n}")
-    if not references:
-        raise ValueError("BLEU needs at least one reference")
-    candidate = list(candidate)
-    c = len(candidate)
-    if c == 0:
-        return 0.0
-    pairs = [_clipped_counts(candidate, references, k) for k in range(1, n + 1)]
-    log_sum = _precision_log_sum(pairs)
-    if log_sum is None:
-        return 0.0
-    r = _closest_ref_length(c, references)
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * math.exp(log_sum / n)
+    return corpus_bleu([candidate], [references], n)
 
 
 def corpus_bleu(candidates, references_list, n: int) -> float:
@@ -103,9 +77,11 @@ def corpus_bleu(candidates, references_list, n: int) -> float:
             totals[k - 1][1] += total
     if c_sum == 0:
         return 0.0
-    log_sum = _precision_log_sum([tuple(t) for t in totals])
-    if log_sum is None:
-        return 0.0
+    log_sum = 0.0
+    for clipped, total in totals:
+        if clipped == 0:     # includes an order with no n-grams at all
+            return 0.0
+        log_sum += math.log(clipped / total)
     bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
     return bp * math.exp(log_sum / n)
 
@@ -206,13 +182,11 @@ def cider(candidates, references_list, n_max: int = CIDER_MAX_ORDER):
 @dataclass
 class EvalReport:
     """Corpus scores (BLEU/ROUGE on the 0-100 scale, CIDEr on its native
-    0-10 scale), one score row per example, and first-word frequency
-    tables."""
+    0-10 scale) and one score row per example."""
     bleu: dict
     rouge_l: float
     cider: float
     per_example: list
-    first_words: dict = field(default_factory=dict)
 
     def score_rows(self):
         rows = [(f"bleu{n}", self.bleu[n]) for n in sorted(self.bleu)]
@@ -256,31 +230,4 @@ def evaluate_corpus(candidates, references_list, bleu_mode: str = "max") -> Eval
         bleu = {n: sum(r[f"bleu{n}"] for r in per_example) / count for n in range(1, 5)}
     rouge = sum(r["rouge_l"] for r in per_example) / len(per_example)
     return EvalReport(bleu=bleu, rouge_l=rouge, cider=cider_mean,
-                      per_example=per_example,
-                      first_words=question_word_stats(candidates))
-
-
-def question_word_stats(questions, positions: int = 4) -> dict:
-    """Frequency table of the word at each of the first `positions`
-    positions, over the questions long enough to have one. Entries sort by
-    descending frequency then token; frequencies per position sum to 1."""
-    if not questions:
-        raise ValueError("word statistics need at least one question")
-    tables = {}
-    for pos in range(1, positions + 1):
-        words = [q[pos - 1] for q in questions if len(q) >= pos]
-        if not words:
-            tables[pos] = []
-            continue
-        counts = Counter(words)
-        total = len(words)
-        tables[pos] = sorted(((w, v / total) for w, v in counts.items()),
-                             key=lambda item: (-item[1], str(item[0])))
-    return tables
-
-
-def word_stats_csv(tables: dict) -> str:
-    lines = ["position,word,frequency"]
-    for pos in sorted(tables):
-        lines += [f"{pos},{word},{freq:.10g}" for word, freq in tables[pos]]
-    return "\n".join(lines) + "\n"
+                      per_example=per_example)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tape
+from .autodiff import Tape
 from .config import RunConfig, config_to_dict
 from .data import Dataset, atomic_write
 from .decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
@@ -31,15 +31,28 @@ from .rng import RngStream
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a step produces a non-finite loss."""
+    """Raised when a step produces a non-finite loss part or parameter
+    gradient, before the optimizer applies it, or when a validation pass
+    gives a non-finite loss."""
+
+
+def check_dims(cfg: RunConfig, dataset: Dataset):
+    """Raise ValueError when the config's feature widths disagree with the
+    dataset header's."""
+    for name in ("image_dim", "place_dim"):
+        want, got = getattr(cfg, name), getattr(dataset, name)
+        if want != got:
+            raise ValueError(f"config {name} is {want} but the dataset header "
+                             f"says {got}")
 
 
 def build_model(cfg: RunConfig, dataset: Dataset, rng: RngStream = None) -> MultiCueModel:
+    check_dims(cfg, dataset)
     if rng is None:
         rng = RngStream(cfg.seed).child("model")
     return MultiCueModel(
-        cues=cfg.cues, combiner=cfg.combiner, image_dim=dataset.image_dim,
-        place_dim=dataset.place_dim, embed_dim=cfg.embed_dim,
+        cues=cfg.cues, combiner=cfg.combiner, image_dim=cfg.image_dim,
+        place_dim=cfg.place_dim, embed_dim=cfg.embed_dim,
         enc_dim=cfg.enc_dim, hidden_dim=cfg.hidden_dim,
         vocab_size=len(dataset.vocab.tokens), dropout_rate=cfg.dropout.rate,
         dropout_kind=cfg.dropout.kind, rng=rng)
@@ -207,16 +220,14 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
             choice = [int(k) for k in qdraws[start:start + len(rows)]]
             batch = make_batch(dataset, rows, question_choice=choice)
             optimizer.zero()
-            try:
-                step = run_step(model, batch, cfg, epoch_rng.child(("step", start)))
-            except NonFiniteError as e:
+            step = run_step(model, batch, cfg, epoch_rng.child(("step", start)))
+            checked = {**step, **{k: p.grad for k, p in params.items()}}
+            bad = [k for k, v in checked.items()
+                   if v is not None and not np.isfinite(v).all()]
+            if bad:
                 raise TrainingDiverged(
-                    f"non-finite values at epoch {epoch}, batch ids "
-                    f"{batch.ids}: {e}") from e
-            if not np.isfinite(step["total"]):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch ids {batch.ids}: "
-                    f"total={step['total']} l_gen={step['l_gen']} l_u={step['l_u']}")
+                    f"non-finite values at epoch {epoch}, batch ids {batch.ids}: "
+                    f"{', '.join(bad)}")
             optimizer.step()
             totals.append(step["total"])
             gens.append(step["l_gen"])
@@ -233,13 +244,12 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
         val_losses, val_weights = [], []
         for start in range(0, len(eval_idx), batch_size):
             rows = eval_idx[start:start + batch_size]
-            try:
-                val_losses.append(teacher_loss(model, make_batch(dataset, rows)))
-            except NonFiniteError as e:
-                raise TrainingDiverged(
-                    f"non-finite validation pass at epoch {epoch}: {e}") from e
+            val_losses.append(teacher_loss(model, make_batch(dataset, rows)))
             val_weights.append(len(rows))
         row["val_loss"] = _epoch_mean(val_losses, val_weights)
+        if not np.isfinite(row["val_loss"]):
+            raise TrainingDiverged(
+                f"non-finite validation loss at epoch {epoch}: {row['val_loss']}")
         curve.append(row)
         if row["val_loss"] < best_val:
             best_val = row["val_loss"]

@@ -39,12 +39,6 @@ class TestTensor:
         assert t.data.dtype == np.float64
         assert t.shape == (2, 2)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            Tensor([1.0, np.nan])
-        with pytest.raises(ValueError):
-            Tensor([np.inf])
-
     def test_item_requires_scalar(self):
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0]).item()

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mcvqg.autodiff import Tensor
@@ -142,14 +143,38 @@ class TestTrain:
     def test_bad_header_is_one_dataset_error(self, workspace, tmp_path, capsys):
         lines = (workspace / "data.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
-        header["vocab"] = 5
-        lines[0] = json.dumps(header)
-        data = tmp_path / "bad.jsonl"
-        data.write_text("\n".join(lines) + "\n")
-        cfg = write_config(tmp_path / "cfg.json", data, tmp_path / "run")
-        assert main(["train", "--config", str(cfg)]) == 1
+        for vocab in (5, header["vocab"] + ["<unk>"]):
+            lines[0] = json.dumps({**header, "vocab": vocab})
+            data = tmp_path / "bad.jsonl"
+            data.write_text("\n".join(lines) + "\n")
+            cfg = write_config(tmp_path / "cfg.json", data, tmp_path / "run")
+            assert main(["train", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("ERROR DATASET_INVALID: line 1: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_feature_width_mismatch_is_config_error(self, workspace, tmp_path, capsys,
+                                                    command):
+        cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl",
+                           tmp_path / "run", image_dim=32)
+        argv = [command, "--config", str(cfg)]
+        if command == "eval":
+            argv += ["--checkpoint", str(workspace / "run" / "checkpoint.json")]
+        assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ERROR DATASET_INVALID: line 1: ")
+        assert err == ["ERROR CONFIG_INVALID: config image_dim is 32 but the "
+                       "dataset header says 24"]
+        assert not (tmp_path / "run").exists()
+
+    def test_divergence_is_one_error(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl",
+                           tmp_path / "run", optimizer={"epochs": 3, "batch_size": 4,
+                                                        "learning_rate": 1e155})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR TRAINING_DIVERGED: ")
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
 
     def test_missing_out_dir_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl", "")

@@ -266,6 +266,17 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 1: vocab must be a list of strings"):
             load_dataset(self._write(tmp_path, lines))
 
+    @pytest.mark.parametrize("position,token", [(10, None), (20, "<eos>")])
+    def test_repeated_vocab_token_rejected(self, tmp_path, position, token):
+        lines = self._valid_lines()
+        header = json.loads(lines[0])
+        vocab = header["vocab"]
+        vocab[position] = vocab[5] if token is None else token
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError,
+                           match=f"line 1: vocab repeats token '{vocab[position]}'"):
+            load_dataset(self._write(tmp_path, lines))
+
     def test_non_integer_header_dim_line_numbered(self, tmp_path):
         lines = self._valid_lines()
         header = json.loads(lines[0])

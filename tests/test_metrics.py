@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from mcvqg.metrics import (EvalReport, bleu_n, cider, corpus_bleu,
-                           evaluate_corpus, lcs_length, ngrams,
-                           question_word_stats, rouge_l, word_stats_csv)
+                           evaluate_corpus, lcs_length, ngrams, rouge_l)
 
 
 # --- brute-force oracles, written straight from the definitions ------------
@@ -317,49 +316,3 @@ class TestCorpusEvaluation:
             evaluate_corpus([["a"]], [[["a"]]], bleu_mode="max_ref")
         with pytest.raises(ValueError, match="nonempty"):
             evaluate_corpus([], [])
-
-
-class TestWordStats:
-    def test_matches_direct_counting(self):
-        questions = [q.split() for q in [
-            "what is the dog doing",
-            "what is the cat doing",
-            "where is the dog",
-            "who is at the beach",
-            "what color is the ball",
-            "why is he smiling",
-            "where is the ball",
-            "what is he holding",
-            "how many dogs are there",
-            "what is the dog doing",
-        ]]
-        tables = question_word_stats(questions)
-        first = dict(tables[1])
-        assert first["what"] == 5 / 10
-        assert first["where"] == 2 / 10
-        second = dict(tables[2])
-        assert second["is"] == 8 / 10
-        for pos in range(1, 5):
-            total = sum(freq for _, freq in tables[pos])
-            np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
-
-    def test_identical_questions_single_entry(self):
-        tables = question_word_stats([["what", "is", "it"]] * 3)
-        for pos in (1, 2, 3):
-            assert tables[pos] == [(["what", "is", "it"][pos - 1], 1.0)]
-
-    def test_short_questions_shrink_denominator(self):
-        tables = question_word_stats([["a"], ["b", "c"]])
-        assert dict(tables[1]) == {"a": 0.5, "b": 0.5}
-        assert tables[2] == [("c", 1.0)]
-        assert tables[3] == []
-
-    def test_csv_shape(self):
-        csv = word_stats_csv(question_word_stats([["what", "is"], ["where", "is"]]))
-        lines = csv.strip().split("\n")
-        assert lines[0] == "position,word,frequency"
-        assert any(line.startswith("1,what,") for line in lines)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="question"):
-            question_word_stats([])

@@ -5,6 +5,7 @@ analysis."""
 import numpy as np
 import pytest
 
+import mcvqg.train as mtrain
 from mcvqg.autodiff import Tape
 from mcvqg.config import RunConfig, config_from_dict
 from mcvqg.data import EOS, synth_generate
@@ -277,6 +278,11 @@ class TestOptimizers:
 
 
 class TestTrainModel:
+    @pytest.mark.parametrize("name", ["image_dim", "place_dim"])
+    def test_feature_widths_must_match_the_dataset(self, name):
+        with pytest.raises(ValueError, match=f"config {name} is 32 but the dataset"):
+            build_model(tiny_config(**{name: 32}), DS)
+
     def test_curve_shape_and_determinism(self):
         cfg = tiny_config()
         a = train_model(cfg, DS)
@@ -325,6 +331,41 @@ class TestTrainModel:
                                      "learning_rate": 1e155})
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train_model(cfg, DS)
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        # softplus underflows to a variance of exactly 0, so the aleatoric
+        # loss stays finite while its backward divides by sqrt(0)
+        built, step_ids = {}, []
+
+        def build(cfg, dataset, rng=None):
+            model = build_model(cfg, dataset, rng)
+            model.decoder.b_var.data[:] = -800.0
+            built["model"] = model
+            built["bytes"] = {k: p.data.tobytes() for k, p in model.named_params().items()}
+            return model
+
+        def step(model, batch, cfg, rng):
+            step_ids.append(batch.ids)
+            return run_step(model, batch, cfg, rng)
+
+        monkeypatch.setattr(mtrain, "build_model", build)
+        monkeypatch.setattr(mtrain, "run_step", step)
+        cfg = tiny_config(cues=["caption"],
+                          optimizer={"algorithm": "adam", "epochs": 2,
+                                     "batch_size": 4, "learning_rate": 0.05})
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+            train_model(cfg, DS)
+        assert len(step_ids) == 1
+        message = str(err.value)
+        assert f"epoch 0, batch ids {step_ids[0]}" in message
+        assert "dec.b_var" in message and "l_gen" not in message
+        for name, p in built["model"].named_params().items():
+            assert p.data.tobytes() == built["bytes"][name], name
+
+    def test_non_finite_validation_loss_raises_diverged(self, monkeypatch):
+        monkeypatch.setattr(mtrain, "teacher_loss", lambda model, batch: np.inf)
+        with pytest.raises(TrainingDiverged, match="validation loss at epoch 0"):
+            train_model(tiny_config(), DS)
 
 
 class TestCurveCsv:
