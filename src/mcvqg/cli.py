@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .config import (RunConfig, apply_overrides, config_from_dict, load_config,
                      save_config)
 from .data import DEFAULT_FEATURE_DIM, DEFAULT_NOISE, EOS, atomic_write, \
@@ -101,6 +103,13 @@ def _split_for(cfg, dataset, which: str):
     return list(range(len(dataset.bundles)))
 
 
+def _train(cfg, dataset, out_dir, log=None):
+    # numpy's overflow warnings would print before the one ERROR line; a
+    # diverging run is still caught by train_model's finite check
+    with np.errstate(all="ignore"):
+        return train_and_save(cfg, dataset, out_dir, log=log)
+
+
 def cmd_gen_data(args) -> int:
     ds = synth_generate(args.n, args.seed, image_dim=args.image_dim,
                         place_dim=args.place_dim, noise=args.noise,
@@ -119,7 +128,7 @@ def cmd_train(args) -> int:
     dataset = _read_dataset(cfg.dataset)
     _check_dims(cfg, dataset)
     log = print if args.verbose else None
-    result = train_and_save(cfg, dataset, cfg.out_dir, log=log)
+    result = _train(cfg, dataset, cfg.out_dir, log=log)
     save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     print(f"trained {len(result.curve)} epochs; best val loss "
           f"{result.best_val_loss:.6f} at epoch {result.best_epoch}; "
@@ -243,7 +252,7 @@ def cmd_sweep(args) -> int:
                            f"run {name!r} is not a valid config: {e}") from e
         _check_dims(cfg, dataset)
         run_dir = os.path.join(args.out, name.replace("/", "_"))
-        result = train_and_save(cfg, dataset, run_dir)
+        result = _train(cfg, dataset, run_dir)
         save_config(os.path.join(run_dir, "config.json"), cfg)
         eval_idx = result.val_indices if result.val_indices else result.train_indices
         report, _ = evaluate_model(result.model, dataset, eval_idx, cfg=cfg)

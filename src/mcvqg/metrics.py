@@ -57,6 +57,15 @@ def bleu_n(candidate, references, n: int) -> float:
 def corpus_bleu(candidates, references_list, n: int) -> float:
     """Corpus BLEU: clipped counts and totals are summed over all examples
     before taking ratios; the brevity penalty compares summed lengths."""
+    return _corpus_bleu_orders(candidates, references_list, n)[-1]
+
+
+def _corpus_bleu_orders(candidates, references_list, n: int) -> list:
+    """Corpus BLEU of every order 1..n, from one clipped count per order.
+
+    Order k's score reads only the counts of orders 1..k, and its log sum is
+    the running sum at k, so each equals what a call for order k alone gives.
+    """
     if not 1 <= n <= 4:
         raise ValueError(f"BLEU order must be 1..4, got {n}")
     if len(candidates) != len(references_list) or not candidates:
@@ -75,15 +84,17 @@ def corpus_bleu(candidates, references_list, n: int) -> float:
             clipped, total = _clipped_counts(cand, refs, k)
             totals[k - 1][0] += clipped
             totals[k - 1][1] += total
+    scores = [0.0] * n
     if c_sum == 0:
-        return 0.0
-    log_sum = 0.0
-    for clipped, total in totals:
-        if clipped == 0:     # includes an order with no n-grams at all
-            return 0.0
-        log_sum += math.log(clipped / total)
+        return scores
     bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
-    return bp * math.exp(log_sum / n)
+    log_sum = 0.0
+    for k, (clipped, total) in enumerate(totals, start=1):
+        if clipped == 0:     # includes an order with no n-grams at all
+            break            # this order and every higher one score 0
+        log_sum += math.log(clipped / total)
+        scores[k - 1] = bp * math.exp(log_sum / k)
+    return scores
 
 
 def lcs_length(a, b) -> int:
@@ -216,15 +227,15 @@ def evaluate_corpus(candidates, references_list, bleu_mode: str = "max") -> Eval
     cider_scores, cider_mean = cider(candidates, references_list)
     per_example = []
     for cand, refs, cd in zip(candidates, references_list, cider_scores):
-        row = {}
-        for n in range(1, 5):
-            row[f"bleu{n}"] = 100.0 * max(bleu_n(cand, [ref], n) for ref in refs)
+        per_ref = [_corpus_bleu_orders([cand], [[ref]], 4) for ref in refs]
+        row = {f"bleu{n}": 100.0 * max(scores[n - 1] for scores in per_ref)
+               for n in range(1, 5)}
         row["rouge_l"] = 100.0 * rouge_l(cand, refs)
         row["cider"] = cd
         per_example.append(row)
     if bleu_mode == "corpus":
-        bleu = {n: 100.0 * corpus_bleu(candidates, references_list, n)
-                for n in range(1, 5)}
+        scores = _corpus_bleu_orders(candidates, references_list, 4)
+        bleu = {n: 100.0 * scores[n - 1] for n in range(1, 5)}
     else:
         count = len(per_example)
         bleu = {n: sum(r[f"bleu{n}"] for r in per_example) / count for n in range(1, 5)}

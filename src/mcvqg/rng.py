@@ -8,10 +8,22 @@ run as the n row blocks of one batch.
 
 import functools
 import hashlib
+import threading
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_LOCAL = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    """This thread's one Philox generator. A draw sets its whole state
+    first, so what it drew before never shows."""
+    generator = getattr(_LOCAL, "generator", None)
+    if generator is None:
+        generator = np.random.Generator(np.random.Philox(key=0))
+        _LOCAL.generator = generator
+    return generator
 
 
 def _splitmix64(x: int) -> int:
@@ -52,6 +64,11 @@ class RngStream:
     draws for k rows alone. A model run on n stacked copies of an input
     therefore sees sample t's masks exactly as a run on child(t) would. Any
     other leading extent raises `ShapeError`.
+
+    No draw builds a generator. Each thread holds one Philox generator, and
+    a draw sets its state, id by id, to the key (seed, id) and the call's
+    counter block before drawing, so the bits are those of a generator
+    freshly built on that key and counter.
     """
 
     __slots__ = ("seed", "streams", "counter")
@@ -91,31 +108,42 @@ class RngStream:
     def state(self):
         return (self.seed, self.stream, self.counter)
 
-    def _generators(self) -> list:
-        """A fresh generator per id, all on this call's counter block."""
-        counter = [0, self.counter, 0, 0]
+    def _each_id(self, method, *args) -> list:
+        """`method(generator, *args)` once per id, in id order, each id on
+        this call's counter block of its own key."""
+        generator = _thread_generator()
+        bit_generator = generator.bit_generator
+        # counter and key convert as numpy converts a generator's list
+        # arguments key=[seed, id] and counter=[0, c, 0, 0]: an id >= 2**63
+        # next to a seed < 2**63 makes the key float64, and changing that
+        # would move every draw on it
+        counter = np.asarray([0, self.counter, 0, 0]).astype(np.uint64)
         self.counter += 1
-        # the key stays a list of Python ints: numpy makes an id >= 2**63
-        # float64 there, and changing that would move every draw on it
-        return [np.random.Generator(np.random.Philox(key=[self.seed, s], counter=counter))
-                for s in self.streams]
+        out = []
+        for s in self.streams:
+            bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": counter,
+                          "key": np.asarray([self.seed, s]).astype(np.uint64)},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            out.append(method(generator, *args))
+        return out
 
-    def _one_generator(self) -> np.random.Generator:
+    def _check_one_id(self):
         if len(self.streams) != 1:
             raise TypeError("a stream of several ids draws only uniform and normal arrays")
-        return self._generators()[0]
 
     def _draw(self, method, shape):
         count = len(self.streams)
         if count == 1:
-            return method(self._generators()[0], shape)
+            return self._each_id(method, shape)[0]
         shape = tuple(shape)
         if not shape or shape[0] % count:
             from .autodiff import ShapeError  # autodiff imports this module
             raise ShapeError(f"row-stacked draw of shape {shape}: the leading "
                              f"extent must be a multiple of {count} rows")
         block = (shape[0] // count,) + shape[1:]
-        return np.concatenate([method(g, block) for g in self._generators()])
+        return np.concatenate(self._each_id(method, block))
 
     def uniform(self, shape=()):
         """Uniform float64 draws on [0, 1)."""
@@ -127,13 +155,15 @@ class RngStream:
 
     def integers(self, low: int, high: int, shape=()):
         """Integer draws on [low, high); one-id streams only."""
-        return self._one_generator().integers(low, high, size=shape)
+        self._check_one_id()
+        return self._each_id(np.random.Generator.integers, low, high, shape)[0]
 
     def shuffled(self, seq):
         """A shuffled copy of `seq` (the stream advances by one draw call);
         one-id streams only."""
+        self._check_one_id()
         out = list(seq)
-        self._one_generator().shuffle(out)
+        self._each_id(np.random.Generator.shuffle, out)
         return out
 
     def __repr__(self):

@@ -1,10 +1,15 @@
-"""End-to-end tests of the command-line surface (invoked in-process)."""
+"""End-to-end tests of the command-line surface (invoked in-process, and
+as a subprocess where stderr itself is checked)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mcvqg
 from mcvqg.autodiff import Tensor
 from mcvqg.cli import main
 from mcvqg.data import Dataset, Vocabulary, load_dataset, save_dataset
@@ -175,6 +180,21 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR TRAINING_DIVERGED: ")
         assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+    def test_divergence_prints_one_stderr_line(self, workspace, tmp_path):
+        # in-process, pytest records numpy's RuntimeWarnings; a real process
+        # writes them to stderr unless the command runs without them
+        cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl",
+                           tmp_path / "run", optimizer={"epochs": 3, "batch_size": 4,
+                                                        "learning_rate": 1e155})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mcvqg.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "mcvqg.cli", "train", "--config",
+                               str(cfg)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR TRAINING_DIVERGED: "), err
 
     def test_missing_out_dir_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl", "")

@@ -3,6 +3,7 @@ hand-computed fixtures, aggregation conventions, and the word-position
 frequency tables."""
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -316,3 +317,63 @@ class TestCorpusEvaluation:
             evaluate_corpus([["a"]], [[["a"]]], bleu_mode="max_ref")
         with pytest.raises(ValueError, match="nonempty"):
             evaluate_corpus([], [])
+
+
+def _per_order_corpus_bleu(candidates, references_list, n):
+    """Corpus BLEU of order n alone, counted for that order only: the
+    formula `evaluate_corpus` once ran four times, kept to pin its bits."""
+    totals = [[0, 0] for _ in range(n)]
+    c_sum, r_sum = 0, 0
+    for cand, refs in zip(candidates, references_list):
+        cand = list(cand)
+        if not cand:
+            continue
+        c_sum += len(cand)
+        r_sum += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        for k in range(1, n + 1):
+            counts = Counter(ngrams(cand, k))
+            if not counts:
+                continue
+            max_ref = Counter()
+            for ref in refs:
+                for g, v in Counter(ngrams(ref, k)).items():
+                    max_ref[g] = max(max_ref[g], v)
+            totals[k - 1][0] += sum(min(v, max_ref[g]) for g, v in counts.items())
+            totals[k - 1][1] += sum(counts.values())
+    if c_sum == 0:
+        return 0.0
+    log_sum = 0.0
+    for clipped, total in totals:
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
+    bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
+    return bp * math.exp(log_sum / n)
+
+
+class TestBleuOrdersFromOneCount:
+    """All four orders come from one count per order; every score must equal
+    the per-order formula bit for bit."""
+
+    def test_random_corpora_match_the_per_order_formula_exactly(self):
+        rng = np.random.default_rng(1213)
+        for _ in range(400):
+            size = int(rng.integers(1, 4))
+            cands = [_random_sentence(rng, 0, 6) for _ in range(size)]
+            refs = [[_random_sentence(rng, 1, 6) for _ in range(int(rng.integers(1, 4)))]
+                    for _ in range(size)]
+            for n in range(1, 5):
+                assert corpus_bleu(cands, refs, n) == _per_order_corpus_bleu(cands, refs, n)
+                assert bleu_n(cands[0], refs[0], n) == \
+                    _per_order_corpus_bleu(cands[:1], refs[:1], n)
+            corpus = evaluate_corpus(cands, refs, bleu_mode="corpus")
+            assert corpus.bleu == {n: 100.0 * _per_order_corpus_bleu(cands, refs, n)
+                                   for n in range(1, 5)}
+            per_max = evaluate_corpus(cands, refs, bleu_mode="max")
+            for row, cand, rs in zip(per_max.per_example, cands, refs):
+                for n in range(1, 5):
+                    assert row[f"bleu{n}"] == 100.0 * max(
+                        _per_order_corpus_bleu([cand], [[r]], n) for r in rs)
+            assert per_max.per_example == corpus.per_example
+            assert per_max.bleu == {n: sum(r[f"bleu{n}"] for r in per_max.per_example)
+                                    / size for n in range(1, 5)}

@@ -237,9 +237,9 @@ class TestStreamIsTheSwitch:
     def test_dropout_free_component_draws_nothing(self, name, p, kind, monkeypatch):
         call = SWITCHED[name](p, kind)
         draws = []
-        generators = RngStream._generators
-        monkeypatch.setattr(RngStream, "_generators",
-                            lambda self: draws.append(self) or generators(self))
+        each_id = RngStream._each_id
+        monkeypatch.setattr(RngStream, "_each_id",
+                            lambda self, *args: draws.append(self) or each_id(self, *args))
         call(RngStream(7))
         assert draws == []
 

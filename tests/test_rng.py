@@ -1,5 +1,8 @@
 """Counter-based stream reproducibility and splitting."""
 
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,85 @@ class TestRowIds:
                      lambda: rows.stream, lambda: rows.rows(2)):
             with pytest.raises(TypeError):
                 call()
+
+
+def _fresh(seed, stream, counter):
+    """The generator a draw on (seed, stream) at `counter` is defined by."""
+    return np.random.Generator(np.random.Philox(key=[seed, stream],
+                                                counter=[0, counter, 0, 0]))
+
+
+BIG = 1 << 63
+
+
+class TestReusedGenerator:
+    """Every draw reuses one generator per thread; its bits must be those of
+    a freshly built Philox on the same (key, counter)."""
+
+    KEYS = [(2020, 5), (2020, BIG + 12345), (BIG + 7, 5), (BIG + 7, BIG + 12345),
+            (0, (1 << 64) - 4096)]
+
+    @pytest.mark.parametrize("seed, stream", KEYS)
+    def test_draws_equal_a_fresh_generator(self, seed, stream):
+        s = RngStream(seed, stream=stream, counter=3)
+        assert s.uniform((2, 5)).tobytes() == _fresh(seed, stream, 3).random((2, 5)).tobytes()
+        assert s.normal((7,)).tobytes() == \
+            _fresh(seed, stream, 4).standard_normal((7,)).tobytes()
+        assert s.integers(-4, 9, (3, 3)).tobytes() == \
+            _fresh(seed, stream, 5).integers(-4, 9, size=(3, 3)).tobytes()
+        expected = list(range(12))
+        _fresh(seed, stream, 6).shuffle(expected)
+        assert s.shuffled(range(12)) == expected
+        assert s.counter == 7
+
+    def test_rows_draw_each_id_on_a_fresh_generator(self):
+        rows = RngStream(9).child("mc").rows(4)
+        stacked = rows.normal((8, 3))
+        assert any(i >= BIG for i in rows.streams)
+        expected = np.concatenate([_fresh(9, i, 0).standard_normal((2, 3))
+                                   for i in rows.streams])
+        assert stacked.tobytes() == expected.tobytes()
+
+    def test_interleaved_streams_draw_what_each_draws_alone(self):
+        a, b = RngStream(11, stream=1), RngStream(11, stream=BIG + 1)
+        a1, b1, a2 = a.uniform((5,)), b.normal((4,)), a.normal((3, 2))
+        a, b = RngStream(11, stream=1), RngStream(11, stream=BIG + 1)
+        assert a1.tobytes() == a.uniform((5,)).tobytes()
+        assert a2.tobytes() == a.normal((3, 2)).tobytes()
+        assert b1.tobytes() == b.normal((4,)).tobytes()
+
+    def test_threads_drawing_at_once_get_the_sequential_bits(self):
+        def run(seed):
+            parent = RngStream(seed)
+            return [getattr(parent.child(i), draw)((3, 4)).tobytes()
+                    for i in range(300) for draw in ("uniform", "normal")]
+
+        seeds = (21, 22)
+        expected = [run(seed) for seed in seeds]
+        got = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(k):
+            barrier.wait()
+            got[k] = run(seeds[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == expected
+
+    def test_golden_draw(self):
+        # pinned from the generator-per-draw implementation
+        s = RngStream(2020, stream=5)
+        digest = hashlib.sha256(s.uniform((2, 3)).tobytes() + s.normal((4,)).tobytes())
+        assert digest.hexdigest() == \
+            "0802d5854d8ed98e3a3be6e3b464a79e6394ee1eed592ae64bf0a477eb111384"
+        s = RngStream(BIG + 2020, stream=BIG + 5)
+        digest = hashlib.sha256(s.uniform((2, 3)).tobytes() + s.normal((4,)).tobytes())
+        assert digest.hexdigest() == \
+            "edd5466a40295c5963b78d14de95bef5e943ebe067b8fee4235aee370b795028"
 
 
 class TestMoments:
