@@ -51,14 +51,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
@@ -458,13 +450,6 @@ def log_mean_exp_rows(x: Tensor) -> Tensor:
         _accum(x, w * g[None, :])
 
     return _make(m + np.log(s / reps), (x,), backward_fn)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accum(x, np.full_like(x.data, float(g)))
-
-    return _make(np.asarray(x.data.sum()), (x,), backward_fn)
 
 
 def masked_step_sum(x: Tensor, mask) -> Tensor:

@@ -1,24 +1,22 @@
 """Run configuration: one strict dataclass tree mirroring the config file.
 
 Parsing rejects unknown keys outright (a typo never becomes a silent
-default) and `validate` enforces the structural invariants. The VARIANTS
-table maps the named model variants from the ablation grid onto field
-overrides.
+default) and `validate` enforces the structural invariants. A rate of 0
+turns dropout off; the named variants of the ablation grid are plain field
+overrides (see the README).
 """
 
 import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .cues import CUE_NAMES
 from .data import atomic_write
 from .decoder import MumcConfig
-from .model import COMBINERS
+from .model import check_cue_set
 
-DROPOUT_KINDS = ("none", "bernoulli", "gaussian")
+DROPOUT_KINDS = ("bernoulli", "gaussian")
 OPTIMIZERS = ("sgd", "adam")
 DECISION_MODES = ("deterministic", "mc")
-BLEU_MODES = ("max", "corpus")
 
 
 @dataclass
@@ -52,23 +50,12 @@ class RunConfig:
     val_fraction: float = 0.1
     max_len: int = 16
     eval_mc_samples: int = 50
-    mc_inference: bool = True    # False: dropout stays off at decision time
     decision_mode: str = "deterministic"
-    bleu_mode: str = "max"
     dataset: str = ""
     out_dir: str = ""
 
     def validate(self):
-        cues = set(self.cues)
-        if not cues:
-            raise ValueError("cue set must be nonempty")
-        unknown = cues - set(CUE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown cues: {sorted(unknown)}")
-        if len(cues) >= 2 and "image" not in cues:
-            raise ValueError("multi-cue fusion requires the image cue")
-        if self.combiner not in COMBINERS:
-            raise ValueError(f"combiner must be one of {COMBINERS}")
+        check_cue_set(self.cues, self.combiner)
         for name in ("enc_dim", "embed_dim", "hidden_dim", "image_dim",
                      "place_dim", "max_len", "eval_mc_samples"):
             if getattr(self, name) < 1:
@@ -88,8 +75,6 @@ class RunConfig:
             raise ValueError("validation fraction must be in [0, 1)")
         if self.decision_mode not in DECISION_MODES:
             raise ValueError(f"decision mode must be one of {DECISION_MODES}")
-        if self.bleu_mode not in BLEU_MODES:
-            raise ValueError(f"bleu mode must be one of {BLEU_MODES}")
         return self
 
 
@@ -144,19 +129,6 @@ def save_config(path, cfg: RunConfig):
         fh.write("\n")
 
 
-# Named variants of the ablation grid. "S" rows train with dropout but keep
-# it off at decision time; "B" rows sample at decision time too; the mixture
-# rows replace the moderator with plain concatenation.
-VARIANTS = {
-    "MC-SMix": {"combiner": "mixture", "dropout": {"rate": 0.0, "kind": "none"}},
-    "MC-BMix": {"combiner": "mixture", "dropout": {"kind": "bernoulli"}},
-    "MC-SMN": {"combiner": "moderator", "dropout": {"kind": "bernoulli"},
-               "mc_inference": False},
-    "MC-BMN": {"combiner": "moderator", "dropout": {"kind": "bernoulli"}},
-    "MC-BMN-G": {"combiner": "moderator", "dropout": {"kind": "gaussian"}},
-}
-
-
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
     """New config with dotted-or-nested field overrides applied."""
     data = config_to_dict(cfg)
@@ -175,9 +147,3 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
         else:
             node[leaf] = value
     return config_from_dict(data)
-
-
-def variant_config(cfg: RunConfig, name: str) -> RunConfig:
-    if name not in VARIANTS:
-        raise ValueError(f"unknown variant {name!r} (valid: {sorted(VARIANTS)})")
-    return apply_overrides(cfg, VARIANTS[name])

@@ -47,7 +47,7 @@ class CueFusion:
             raise ValueError(f"cue {cue!r} not configured for fusion")
         joint = ad.mul(ad.matmul(g_img, self.w_img), ad.matmul(g_cue, self.w_cue[cue]))
         h = ad.tanh(ad.add_rowvec(joint, self.bias[cue]))
-        if _wants_dropout(self.p, self.kind, rng):
+        if _wants_dropout(self.p, rng):
             h = ad.dropout(h, self.p, self.kind, rng.child(("fuse", cue)))
         return ad.matmul(h, self.w_out[cue])
 

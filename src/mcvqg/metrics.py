@@ -211,17 +211,13 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_corpus(candidates, references_list, bleu_mode: str = "max") -> EvalReport:
+def evaluate_corpus(candidates, references_list) -> EvalReport:
     """Score a corpus of candidates against per-example reference sets.
 
-    bleu_mode "max" scores each example against each reference separately
-    and keeps the best (then means over examples); "corpus" aggregates
-    clipped counts across the corpus. BLEU is unsmoothed in both modes.
-    ROUGE-L is always the per-example max; CIDEr is corpus-level by
-    construction.
+    BLEU scores each example against each reference separately and keeps
+    the best, then means over examples; it is unsmoothed. ROUGE-L is the
+    per-example max too; CIDEr is corpus-level by construction.
     """
-    if bleu_mode not in ("max", "corpus"):
-        raise ValueError(f"unknown bleu_mode {bleu_mode!r}")
     if len(candidates) != len(references_list) or not candidates:
         raise ValueError("evaluation needs matched, nonempty candidate/reference lists")
     cider_scores, cider_mean = cider(candidates, references_list)
@@ -233,12 +229,8 @@ def evaluate_corpus(candidates, references_list, bleu_mode: str = "max") -> Eval
         row["rouge_l"] = 100.0 * rouge_l(cand, refs)
         row["cider"] = cd
         per_example.append(row)
-    if bleu_mode == "corpus":
-        scores = _corpus_bleu_orders(candidates, references_list, 4)
-        bleu = {n: 100.0 * scores[n - 1] for n in range(1, 5)}
-    else:
-        count = len(per_example)
-        bleu = {n: sum(r[f"bleu{n}"] for r in per_example) / count for n in range(1, 5)}
-    rouge = sum(r["rouge_l"] for r in per_example) / len(per_example)
+    count = len(per_example)
+    bleu = {n: sum(r[f"bleu{n}"] for r in per_example) / count for n in range(1, 5)}
+    rouge = sum(r["rouge_l"] for r in per_example) / count
     return EvalReport(bleu=bleu, rouge_l=rouge, cider=cider_mean,
                       per_example=per_example)

@@ -24,6 +24,22 @@ from .rng import RngStream
 COMBINERS = ("moderator", "mixture")
 
 
+def check_cue_set(cues, combiner: str):
+    """Raise ValueError unless the cues and combiner make a model: a
+    nonempty set of known cues, the image cue among two or more, and a known
+    combiner."""
+    cues = set(cues)
+    if not cues:
+        raise ValueError("cue set must be nonempty")
+    unknown = cues - set(CUE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown cues: {sorted(unknown)}")
+    if len(cues) >= 2 and "image" not in cues:
+        raise ValueError("multi-cue fusion requires the image cue")
+    if combiner not in COMBINERS:
+        raise ValueError(f"combiner must be one of {COMBINERS}, got {combiner!r}")
+
+
 @dataclass
 class Batch:
     """Dense arrays for one mini-batch; text fields are right-PAD-padded."""
@@ -90,15 +106,8 @@ class MultiCueModel:
     def __init__(self, *, cues, combiner: str, image_dim: int, place_dim: int,
                  embed_dim: int, enc_dim: int, hidden_dim: int, vocab_size: int,
                  dropout_rate: float, dropout_kind: str, rng: RngStream):
+        check_cue_set(cues, combiner)
         self.cues = tuple(c for c in CUE_NAMES if c in set(cues))
-        if not self.cues:
-            raise ValueError("cue set must be nonempty")
-        if set(cues) - set(CUE_NAMES):
-            raise ValueError(f"unknown cues: {sorted(set(cues) - set(CUE_NAMES))}")
-        if len(self.cues) >= 2 and "image" not in self.cues:
-            raise ValueError("multi-cue fusion requires the image cue")
-        if combiner not in COMBINERS:
-            raise ValueError(f"combiner must be one of {COMBINERS}, got {combiner!r}")
         self.combiner = combiner
         self.enc_dim = int(enc_dim)
         self.embedding = EmbeddingTable(vocab_size, embed_dim, rng.child("embedding"))

@@ -29,15 +29,15 @@ def init_bias(n: int) -> Tensor:
     return Tensor(np.zeros(n), requires_grad=True)
 
 
-def _wants_dropout(p: float, kind: str, rng: RngStream) -> bool:
-    return rng is not None and p > 0.0 and kind != "none"
+def _wants_dropout(p: float, rng: RngStream) -> bool:
+    return rng is not None and p > 0.0
 
 
 class BayesianMLP:
     """Linear stack with a dropout applied before every layer.
 
-    tanh between layers, linear output. p=0 (or kind "none") collapses to a
-    plain deterministic MLP, and so does a call without a stream; two calls
+    tanh between layers, linear output. p=0 collapses to a plain
+    deterministic MLP, and so does a call without a stream; two calls
     with equal RngStream state produce identical outputs (masks are
     counter-derived).
     """
@@ -59,7 +59,7 @@ class BayesianMLP:
     def forward(self, x: Tensor, rng: RngStream = None) -> Tensor:
         if x.shape[-1] != self.widths[0]:
             raise ad.ShapeError(f"mlp: input {x.shape} does not match width {self.widths[0]}")
-        use_dropout = _wants_dropout(self.p, self.kind, rng)
+        use_dropout = _wants_dropout(self.p, rng)
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -106,7 +106,7 @@ class BayesianLSTMCell:
         self.b.data[h:2 * h] = 1.0
 
     def sample_masks(self, batch: int, rng: RngStream = None) -> LstmMasks:
-        if not _wants_dropout(self.p, self.kind, rng):
+        if not _wants_dropout(self.p, rng):
             return LstmMasks(None, None)
         h = self.hidden_size
         return LstmMasks(
@@ -156,9 +156,6 @@ class EmbeddingTable:
 
     def lookup(self, ids) -> Tensor:
         return ad.gather_rows(self.weight, ids)
-
-    def named_params(self, prefix: str):
-        return {f"{prefix}.weight": self.weight}
 
 
 @dataclass

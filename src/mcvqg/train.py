@@ -317,8 +317,6 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
     if not indices:
         raise ValueError("evaluation needs at least one example")
     mode = decision_mode if decision_mode is not None else cfg.decision_mode
-    if mode == "mc" and not cfg.mc_inference:
-        mode = "deterministic"   # dropout-off-at-inference variants
     if mode == "mc" and rng is None:
         rng = RngStream(cfg.seed).child("eval")
     vocab = dataset.vocab
@@ -353,7 +351,7 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
         references.append([tokens_to_words(q, vocab) for q in bundle.questions])
         record["words"] = candidates[-1]
         records.append(record)
-    report = evaluate_corpus(candidates, references, bleu_mode=cfg.bleu_mode)
+    report = evaluate_corpus(candidates, references)
     return report, records
 
 
@@ -370,8 +368,7 @@ class VarianceRecord:
 
 
 def variance_records(model: MultiCueModel, dataset: Dataset, indices, *,
-                     T: int, rng: RngStream, sample_rate: float = None,
-                     sample_kind: str = "bernoulli"):
+                     T: int, rng: RngStream, sample_rate: float = None):
     """T stochastic encodings per example vs the deterministic encoding.
 
     Each example is encoded as T stacked rows of one batch, sample t on
@@ -386,12 +383,13 @@ def variance_records(model: MultiCueModel, dataset: Dataset, indices, *,
     features. The denominator is model-independent on purpose: encoder weight
     magnitudes vary wildly between combiner variants, so dividing by the
     encoding's own magnitude would make the numbers incomparable across models.
-    sample_rate, when given, temporarily forces that dropout rate on every
-    component so no-dropout configurations still produce Monte-Carlo spread.
+    sample_rate, when given, temporarily forces Bernoulli dropout at that
+    rate on every component so no-dropout configurations still produce
+    Monte-Carlo spread.
     """
     if T < 2:
         raise ValueError(f"variance analysis needs T >= 2, got {T}")
-    override = (dropout_override(model, sample_rate, sample_kind)
+    override = (dropout_override(model, sample_rate, "bernoulli")
                 if sample_rate is not None else nullcontext())
     records = []
     with override:

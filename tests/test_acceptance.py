@@ -40,7 +40,7 @@ import pytest
 import mcvqg
 from mcvqg import autodiff as ad
 from mcvqg.autodiff import Tape, Tensor, grad_check, row_softmax
-from mcvqg.config import apply_overrides, config_from_dict
+from mcvqg.config import config_from_dict
 from mcvqg.data import BOS, PAD, synth_generate
 from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced,
                            distorted_loss, gen_loss, generate_greedy,
@@ -351,7 +351,7 @@ class TestAcceptance:
         cfg1 = config_from_dict({
             "cues": ["image", "caption", "tag"], "enc_dim": 12, "embed_dim": 8,
             "hidden_dim": 16, "image_dim": 24, "place_dim": 8, "seed": 0,
-            "val_fraction": 0.0, "dropout": {"rate": 0.0, "kind": "none"},
+            "val_fraction": 0.0, "dropout": {"rate": 0.0},
             "optimizer": {"algorithm": "adam", "learning_rate": 0.1,
                           "epochs": 150, "batch_size": 1},
             "mumc": {"mc_samples": 2}})
@@ -369,7 +369,7 @@ class TestAcceptance:
         cfg50 = config_from_dict({
             "cues": ["caption"], "enc_dim": 16, "embed_dim": 12,
             "hidden_dim": 24, "image_dim": 24, "place_dim": 8, "seed": 0,
-            "val_fraction": 0.0, "dropout": {"rate": 0.0, "kind": "none"},
+            "val_fraction": 0.0, "dropout": {"rate": 0.0},
             "optimizer": {"algorithm": "adam", "learning_rate": 0.008,
                           "epochs": 200, "batch_size": 1},
             "mumc": {"mc_samples": 2}})
@@ -394,32 +394,29 @@ class TestAcceptance:
         ds = synth_generate(500, 11, image_dim=32, place_dim=16, noise=0.1,
                             questions_per=5)
 
-        def variant_cfg(cues, combiner, kind, seed):
+        def variant_cfg(cues, combiner, rate, seed):
             return config_from_dict({
                 "cues": list(cues), "combiner": combiner,
                 "enc_dim": 16, "embed_dim": 12, "hidden_dim": 24,
                 "image_dim": 32, "place_dim": 16, "seed": seed,
-                "val_fraction": 0.1,
-                "dropout": {"rate": 0.3 if kind == "bernoulli" else 0.0,
-                            "kind": kind},
+                "val_fraction": 0.1, "dropout": {"rate": rate},
                 "optimizer": {"algorithm": "adam", "learning_rate": 0.01,
                               "epochs": 20, "batch_size": 25},
                 "mumc": {"mc_samples": 2}})
 
         specs = {
-            "moderator3": (("image", "caption", "tag"), "moderator", "bernoulli"),
-            "moderator2": (("image", "caption"), "moderator", "bernoulli"),
-            "mixture3": (("image", "caption", "tag"), "mixture", "none"),
+            "moderator3": (("image", "caption", "tag"), "moderator", 0.3),
+            "moderator2": (("image", "caption"), "moderator", 0.3),
+            "mixture3": (("image", "caption", "tag"), "mixture", 0.0),
         }
         per_seed = {name: [] for name in specs}
         for seed in range(5):
-            for name, (cues, combiner, kind) in specs.items():
-                cfg = variant_cfg(cues, combiner, kind, seed)
+            for name, (cues, combiner, rate) in specs.items():
+                cfg = variant_cfg(cues, combiner, rate, seed)
                 model = train_model(cfg, ds).model
                 recs = variance_records(model, ds, range(20), T=5,
                                         rng=RngStream(123).child("probe"),
-                                        sample_rate=0.3,
-                                        sample_kind="bernoulli")
+                                        sample_rate=0.3)
                 per_seed[name].append(
                     float(np.mean([r.normalized_variance for r in recs])))
         means = {name: float(np.mean(vals)) for name, vals in per_seed.items()}
@@ -469,10 +466,9 @@ class TestAcceptance:
                 vals.append(rep.bleu[1])
                 if name == "full":
                     # same weights, dropout off at decision time
-                    off = apply_overrides(cfg, {"mc_inference": False})
                     rep_det, _ = evaluate_model(res.model, ds,
-                                                res.val_indices, cfg=off,
-                                                decision_mode="mc")
+                                                res.val_indices, cfg=cfg,
+                                                decision_mode="deterministic")
                     det_full.append(rep_det.bleu[1])
             mc_means[name] = float(np.mean(vals))
         det_mean = float(np.mean(det_full))

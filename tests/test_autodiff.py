@@ -9,6 +9,8 @@ import mcvqg.autodiff as ad
 from mcvqg.autodiff import ShapeError, Tape, Tensor
 from mcvqg.rng import RngStream
 
+from loss_helpers import total
+
 
 def fd_grad(f, x, h=1e-6):
     """Central-difference gradient of scalar f w.r.t. ndarray x (oracle)."""
@@ -167,7 +169,7 @@ class TestBackward:
         g = np.array([1.0, -0.0])
         with Tape() as tape:
             s = ad.add(a, b)
-            loss = ad.sum_all(ad.add(ad.add(ad.mul(s, Tensor([0.5, 0.5])),
+            loss = total(ad.add(ad.add(ad.mul(s, Tensor([0.5, 0.5])),
                                             ad.scale(a, 2.0)), ad.scale(b, -3.0)))
         tape.backward(loss)
         np.testing.assert_array_equal(a.grad, [2.5, 2.5])
@@ -183,14 +185,14 @@ class TestBackward:
 
     def test_dot_product_gradient(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        run_backward(lambda: ad.sum_all(ad.mul(x, x)))
+        run_backward(lambda: total(ad.mul(x, x)))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_matmul_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        run_backward(lambda: ad.sum_all(ad.matmul(a, b)))
+        run_backward(lambda: total(ad.matmul(a, b)))
         ga = fd_grad(lambda: (a.data @ b.data).sum(), a.data)
         gb = fd_grad(lambda: (a.data @ b.data).sum(), b.data)
         assert np.allclose(a.grad, ga, rtol=1e-6, atol=1e-8)
@@ -198,7 +200,7 @@ class TestBackward:
 
     def test_grad_accumulates_across_multiple_uses(self):
         x = Tensor([2.0], requires_grad=True)
-        run_backward(lambda: ad.sum_all(ad.add(x, x)))
+        run_backward(lambda: total(ad.add(x, x)))
         assert np.allclose(x.grad, [2.0])
 
     def test_scalar_loss_required(self):
@@ -211,7 +213,7 @@ class TestBackward:
     def test_detached_graph_rejected(self):
         x = Tensor([1.0])
         with Tape() as tape:
-            y = ad.sum_all(ad.mul(x, x))
+            y = total(ad.mul(x, x))
         with pytest.raises(RuntimeError):
             tape.backward(y)
 
@@ -219,10 +221,10 @@ class TestBackward:
         x = Tensor([1.0, -2.0], requires_grad=True)
         with Tape() as tape:
             mid = ad.mul(x, x)
-            first = ad.sum_all(mid)
+            first = total(mid)
         tape.backward(first)
         with tape:
-            second = ad.sum_all(ad.scale(mid, 3.0))
+            second = total(ad.scale(mid, 3.0))
         tape.backward(second)
         np.testing.assert_array_equal(x.grad, 2 * x.data + 3.0 * 2 * x.data)
 
@@ -230,11 +232,11 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             mid = ad.mul(x, x)
-            first = ad.sum_all(ad.mul(mid, mid))
+            first = total(ad.mul(mid, mid))
         tape.backward(first)
         np.testing.assert_array_equal(mid.grad, 2 * mid.data)
         with tape:
-            second = ad.sum_all(ad.scale(mid, 5.0))
+            second = total(ad.scale(mid, 5.0))
         tape.backward(second)
         np.testing.assert_array_equal(mid.grad, [5.0, 5.0])
         assert first.grad is None
@@ -250,11 +252,11 @@ class TestBackward:
         with Tape() as tape:
             side = Tensor(2.0 * x.data, requires_grad=True)
             tape._record(side, backward_fn)
-            first = ad.sum_all(side)
+            first = total(side)
         tape.backward(first)
         assert len(calls) == 1
         with tape:
-            second = ad.sum_all(ad.scale(x, 7.0))
+            second = total(ad.scale(x, 7.0))
         tape.backward(second)
         assert len(calls) == 1 and side.grad is None
         np.testing.assert_array_equal(x.grad, [9.0, 9.0])
@@ -269,11 +271,11 @@ class TestBackward:
         b = Tensor(np.zeros(16), requires_grad=True)
         with Tape() as tape:
             h2, c2 = ad.lstm_step(x, h, c, wx, wh, b)
-            first = ad.add(ad.sum_all(h2), ad.sum_all(c2))
+            first = ad.add(total(h2), total(c2))
         tape.backward(first)
         assert h2.grad is not None and c2.grad is not None
         with tape:
-            second = ad.sum_all(ad.scale(h2, 2.0))
+            second = total(ad.scale(h2, 2.0))
         tape.backward(second)
         np.testing.assert_array_equal(h2.grad, np.full((2, 4), 2.0))
         assert c2.grad is None
@@ -291,16 +293,16 @@ class TestBackward:
         shared = leaves()
         with Tape() as tape:
             h2, c2 = ad.lstm_step(*shared)
-            first = ad.sum_all(ad.mul(c2, c2))
+            first = total(ad.mul(c2, c2))
         tape.backward(first)
         g_first = [t.grad.copy() for t in shared]
         with tape:
-            second = ad.sum_all(ad.mul(h2, h2))
+            second = total(ad.mul(h2, h2))
         tape.backward(second)
         alone = leaves()
         with Tape() as fresh:
             h3, _ = ad.lstm_step(*alone)
-            loss = ad.sum_all(ad.mul(h3, h3))
+            loss = total(ad.mul(h3, h3))
         fresh.backward(loss)
         for t, g1, ref in zip(shared, g_first, alone):
             np.testing.assert_allclose(t.grad, g1 + ref.grad, rtol=1e-12, atol=1e-14)
@@ -323,7 +325,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             mid = ad.mul(x, x)
-            loss = ad.sum_all(ad.mul(mid, mid))
+            loss = total(ad.mul(mid, mid))
         tape.backward(loss)
         assert np.allclose(mid.grad, 2 * mid.data)
 
@@ -340,7 +342,7 @@ class TestBackward:
             a, b = Tensor(2.0 * x.data, requires_grad=True), Tensor(3.0 * x.data, requires_grad=True)
             tape._record((a, b), backward_fn)
             assert len(tape) == 1
-            loss = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(b))
+            loss = ad.add(total(ad.mul(a, a)), total(b))
         tape.backward(loss)
         assert len(calls) == 1
         assert np.allclose(x.grad, 2.0 * 2.0 * a.data + 3.0)
@@ -356,7 +358,7 @@ class TestBackward:
         with Tape() as tape:
             a, b = Tensor(2.0 * x.data, requires_grad=True), Tensor(3.0 * x.data, requires_grad=True)
             tape._record((a, b), backward_fn)
-            loss = ad.sum_all(a)
+            loss = total(a)
         tape.backward(loss)
         assert len(calls) == 1 and calls[0][1] is None
         assert np.array_equal(x.grad, [2.0, 2.0])
@@ -370,7 +372,7 @@ class TestStructuralOps:
         b = Tensor(rng.normal(size=2), requires_grad=True)
         out = ad.affine(x, w, b)
         assert np.allclose(out.data, x.data @ w.data + b.data)
-        run_backward(lambda: ad.sum_all(ad.affine(x, w, b)))
+        run_backward(lambda: total(ad.affine(x, w, b)))
         assert np.allclose(b.grad, fd_grad(lambda: (x.data @ w.data + b.data).sum(), b.data),
                            rtol=1e-6, atol=1e-8)
 
@@ -384,7 +386,7 @@ class TestStructuralOps:
             b = ad.concat([a, a], axis=0)
             d = ad.row_softmax(b)
             e = ad.gather_cols(x, ids)
-            return ad.add(ad.sum_all(d), ad.sum_all(ad.mul(e, e)))
+            return ad.add(total(d), total(ad.mul(e, e)))
 
         run_backward(build)
         got = x.grad.copy()
@@ -401,7 +403,7 @@ class TestStructuralOps:
 
     def test_gather_rows_scatter_adds(self):
         table = Tensor(np.arange(8, dtype=float).reshape(4, 2), requires_grad=True)
-        run_backward(lambda: ad.sum_all(ad.gather_rows(table, np.array([1, 1, 3]))))
+        run_backward(lambda: total(ad.gather_rows(table, np.array([1, 1, 3]))))
         expect = np.zeros((4, 2))
         expect[1] = 2.0
         expect[3] = 1.0
@@ -412,7 +414,7 @@ class TestStructuralOps:
         a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         s = Tensor(rng.normal(size=4), requires_grad=True)
-        run_backward(lambda: ad.sum_all(ad.colscale(ad.mul(a, b), s)))
+        run_backward(lambda: total(ad.colscale(ad.mul(a, b), s)))
 
         def value():
             return ((a.data * b.data) * s.data[:, None]).sum()
@@ -425,7 +427,7 @@ class TestStructuralOps:
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         out = ad.log_mean_exp_rows(x)
         assert np.allclose(out.data, np.log(np.exp(x.data).mean(axis=0)), rtol=1e-12)
-        run_backward(lambda: ad.sum_all(ad.log_mean_exp_rows(x)))
+        run_backward(lambda: total(ad.log_mean_exp_rows(x)))
         g = fd_grad(lambda: np.log(np.exp(x.data).mean(axis=0)).sum(), x.data)
         assert np.allclose(x.grad, g, rtol=1e-5, atol=1e-8)
 
@@ -448,10 +450,10 @@ class TestStructuralOps:
 
         def f():
             stacked = ad.concat([a, b, a], axis=0)
-            return ad.sum_all(ad.tanh(ad.mul(stacked, w)))
+            return total(ad.tanh(ad.mul(stacked, w)))
 
         assert ad.grad_check(f, [a, b]) <= 1e-6
-        assert ad.grad_check(lambda: ad.sum_all(ad.tanh(ad.concat([c, a], axis=1))),
+        assert ad.grad_check(lambda: total(ad.tanh(ad.concat([c, a], axis=1))),
                              [a, c]) <= 1e-6
         for parts, axis in (([a, c], 0), ([a, b], 1), ([], 0), ([a], 2)):
             with pytest.raises(ShapeError):
@@ -515,7 +517,7 @@ class TestLrtSample:
         w = np.random.default_rng(13).normal(size=eps.shape)
 
         def f():
-            return ad.sum_all(ad.tanh(ad.mul(ad.lrt_sample(y, v, eps), Tensor(w))))
+            return total(ad.tanh(ad.mul(ad.lrt_sample(y, v, eps), Tensor(w))))
 
         assert ad.grad_check(f, [y, v]) <= 1e-6
 
@@ -581,7 +583,7 @@ class TestDropout:
     def test_backward_scales_by_mask(self):
         x = Tensor(np.ones(6), requires_grad=True)
         mask = ad.dropout_mask((6,), 0.5, "bernoulli", RngStream(14))
-        run_backward(lambda: ad.sum_all(ad.dropout(x, 0.5, "bernoulli", RngStream(14))))
+        run_backward(lambda: total(ad.dropout(x, 0.5, "bernoulli", RngStream(14))))
         assert np.array_equal(x.grad, mask)
 
 
@@ -594,14 +596,14 @@ class TestGradCheck:
 
         def f():
             qx = ad.matmul(Tensor(q), x)
-            return ad.sum_all(ad.mul(x, qx))
+            return total(ad.mul(x, qx))
 
         err = ad.grad_check(f, [x], h=1e-5)
         assert err <= 1e-7
 
     def test_zero_gradient_case(self):
         x = Tensor(np.zeros(4), requires_grad=True)
-        err = ad.grad_check(lambda: ad.sum_all(ad.mul(x, x)), [x], h=1e-5)
+        err = ad.grad_check(lambda: total(ad.mul(x, x)), [x], h=1e-5)
         assert err <= 1e-8
 
     def test_catches_wrong_gradient(self):
@@ -615,5 +617,5 @@ class TestGradCheck:
 
             return ad._make(t, (a,), backward_fn)
 
-        err = ad.grad_check(lambda: ad.sum_all(broken(x)), [x], h=1e-5)
+        err = ad.grad_check(lambda: total(broken(x)), [x], h=1e-5)
         assert err > 1e-2

@@ -104,6 +104,18 @@ class TestTrain:
         assert "'temperature'" in err[0]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("setting", [{"mc_inference": False},
+                                         {"bleu_mode": "max"},
+                                         {"dropout": {"rate": 0.0, "kind": "none"}}])
+    def test_removed_setting_is_one_config_error(self, workspace, tmp_path, capsys,
+                                                 setting):
+        cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl",
+                           tmp_path / "run", **setting)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR CONFIG_INVALID:")
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_config_value_is_an_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", "d.jsonl", "run",
                            dropout={"rate": 1.5})
@@ -348,15 +360,23 @@ class TestSweep:
     def test_dotted_axis_and_run_naming(self, workspace, tmp_path):
         manifest = self.manifest(
             workspace, tmp_path,
-            {"dropout.kind": ["bernoulli", "none"], "seed": [1]})
+            {"dropout.rate": [0.0, 0.1], "seed": [1]})
         out = tmp_path / "sweep"
         assert main(["sweep", "--manifest", str(manifest),
                      "--out", str(out)]) == 0
-        assert (out / "kind=bernoulli_seed=1").is_dir()
-        assert (out / "kind=none_seed=1").is_dir()
+        assert (out / "rate=0.0_seed=1").is_dir()
+        assert (out / "rate=0.1_seed=1").is_dir()
 
     def test_duplicate_axis_values_rejected(self, workspace, tmp_path, capsys):
         manifest = self.manifest(workspace, tmp_path, {"seed": [1, 1]})
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")
+
+    @pytest.mark.parametrize("axes", [{"mc_inference": [False]},
+                                      {"dropout.kind": ["bernoulli", "none"]}])
+    def test_removed_setting_rejected(self, workspace, tmp_path, capsys, axes):
+        manifest = self.manifest(workspace, tmp_path, axes)
         assert main(["sweep", "--manifest", str(manifest),
                      "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")

@@ -1,11 +1,15 @@
-"""Tests for run configuration parsing, validation, and the variant table."""
+"""Tests for run configuration parsing, validation, overrides, and the
+README's table of named variants."""
 
 import dataclasses
+import json
+import os
+import re
 
 import pytest
 
-from mcvqg.config import (VARIANTS, RunConfig, apply_overrides, config_from_dict,
-                          config_to_dict, load_config, save_config, variant_config)
+from mcvqg.config import (RunConfig, apply_overrides, config_from_dict, config_to_dict,
+                          load_config, save_config)
 
 
 class TestValidation:
@@ -55,6 +59,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="dropout kind"):
             cfg.validate()
 
+    def test_none_is_not_a_dropout_kind(self):
+        # a rate of 0 is the one way to turn dropout off
+        cfg = config_from_dict({"dropout": {"rate": 0.0, "kind": "none"}})
+        with pytest.raises(ValueError, match="dropout kind"):
+            cfg.validate()
+
     def test_bad_optimizer_rejected(self):
         cfg = RunConfig()
         cfg.optimizer.algorithm = "rmsprop"
@@ -91,14 +101,17 @@ class TestValidation:
     def test_mode_enums_checked(self):
         with pytest.raises(ValueError, match="decision mode"):
             RunConfig(decision_mode="vote").validate()
-        with pytest.raises(ValueError, match="bleu mode"):
-            RunConfig(bleu_mode="min").validate()
 
 
 class TestParsing:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"cuez": ["image"]})
+
+    @pytest.mark.parametrize("key", ["mc_inference", "bleu_mode"])
+    def test_removed_fields_are_unknown_keys(self, key):
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            config_from_dict({key: "max"})
 
     def test_unknown_nested_key_names_its_section(self):
         with pytest.raises(ValueError, match="optimizer"):
@@ -169,10 +182,34 @@ class TestOverrides:
         assert base.seed == 0 and out.seed == 99
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def readme_variants() -> dict:
+    """The README's named-variant table: name -> dotted-key overrides."""
+    rows = {}
+    with open(README) as fh:
+        for line in fh:
+            row = re.match(r"\| `(MC-[\w-]+)` \| (.*?) \|", line)
+            if row:
+                rows[row.group(1)] = {key: json.loads(value) for key, value in
+                                      re.findall(r"`([\w.]+): ([^`]+)`", row.group(2))}
+    return rows
+
+
+def variant_config(base: RunConfig, name: str) -> RunConfig:
+    return apply_overrides(base, readme_variants()[name])
+
+
 class TestVariants:
+    """Each named variant of the ablation grid is a set of plain overrides."""
+
     def test_every_variant_validates(self):
         base = RunConfig()
-        for name in VARIANTS:
+        variants = readme_variants()
+        assert sorted(variants) == ["MC-BMN", "MC-BMN-G", "MC-BMix", "MC-SMN", "MC-SMix"]
+        for name in variants:
             variant_config(base, name).validate()
 
     def test_mixture_rows_drop_the_moderator(self):
@@ -183,7 +220,6 @@ class TestVariants:
 
     def test_simple_mixture_disables_dropout(self):
         cfg = variant_config(RunConfig(), "MC-SMix")
-        assert cfg.dropout.kind == "none"
         assert cfg.dropout.rate == 0.0
 
     def test_bayesian_rows_sample_bernoulli(self):
@@ -192,20 +228,16 @@ class TestVariants:
 
     def test_smn_disables_inference_sampling_only(self):
         cfg = variant_config(RunConfig(), "MC-SMN")
-        assert cfg.mc_inference is False
+        assert cfg.decision_mode == "deterministic"
         assert cfg.dropout.rate > 0
-        assert variant_config(RunConfig(), "MC-BMN").mc_inference is True
+        assert variant_config(RunConfig(), "MC-BMN").decision_mode == "mc"
 
     def test_gaussian_variant(self):
         assert variant_config(RunConfig(), "MC-BMN-G").dropout.kind == "gaussian"
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown variant"):
-            variant_config(RunConfig(), "MC-XXL")
-
     def test_variants_leave_base_untouched(self):
         base = RunConfig()
         snapshot = config_to_dict(base)
-        for name in VARIANTS:
+        for name in readme_variants():
             variant_config(base, name)
         assert config_to_dict(base) == snapshot

@@ -16,6 +16,8 @@ from mcvqg.decoder import (Decoder, MumcConfig, aleatoric_mc_loss,
 from mcvqg.nn import EmbeddingTable
 from mcvqg.rng import RngStream
 
+from loss_helpers import total
+
 VOCAB = 9
 ENC = 5
 EMB = 4
@@ -301,7 +303,7 @@ class TestDistortedLoss:
         x = Tensor(np.array([0.4]), requires_grad=True)
 
         def f():
-            l_plain = ad.sum_all(ad.mul(x, x))
+            l_plain = total(ad.mul(x, x))
             return distorted_loss(l_plain, Tensor(np.asarray(0.5)), alpha=1.3)
 
         assert grad_check(f, [x]) <= 1e-6     # 0.16 < 0.5: exponential branch
@@ -347,7 +349,7 @@ class TestRefinement:
         g, mus, grad = self._pieces()
         with Tape() as tape:
             out = mumc_refine(g, mus, grad, gamma=0.7)
-            loss = ad.sum_all(out)
+            loss = total(out)
         tape.backward(loss)
         assert g.grad is not None and np.abs(g.grad).max() > 0
         for mu in mus.values():
@@ -358,7 +360,7 @@ class TestRefinement:
         params = [g, mus["place"], mus["caption"]]
 
         def f():
-            return ad.sum_all(ad.tanh(mumc_refine(g, mus, grad, gamma=0.7)))
+            return total(ad.tanh(mumc_refine(g, mus, grad, gamma=0.7)))
 
         assert grad_check(f, params) <= 1e-6
 

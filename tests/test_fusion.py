@@ -11,9 +11,11 @@ from mcvqg.fusion import CueFusion, MixtureCombiner, Moderator, mix_encoding
 from mcvqg.nn import BayesianLSTMCell, BayesianMLP, EmbeddingTable
 from mcvqg.rng import RngStream
 
+from loss_helpers import total
+
 
 class TestCueEncoders:
-    def _encoders(self, p=0.0, kind="none", cue_set=("image", "place", "caption", "tag")):
+    def _encoders(self, p=0.0, kind="bernoulli", cue_set=("image", "place", "caption", "tag")):
         rng = RngStream(0)
         emb = EmbeddingTable(60, 6, rng.child("emb"))
         return cues.CueEncoders(cue_set, image_dim=24, place_dim=8, embed_dim=6,
@@ -49,7 +51,7 @@ class TestCueEncoders:
             # a fresh stream per call draws the same masks every time
             h = cues.encode_caption(cell, emb, self.RAGGED_IDS, self.RAGGED_LENGTHS,
                                     rng=RngStream(33))
-            return ad.sum_all(ad.mul(h, ad.mul(h, weights)))
+            return total(ad.mul(h, ad.mul(h, weights)))
         return f, [emb.weight, cell.wx, cell.wh, cell.b]
 
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
@@ -106,7 +108,7 @@ class TestCueEncoders:
 
 class TestCueFusion:
     def test_identity_weights_give_tanh_of_product(self):
-        fus = CueFusion(3, ("place",), p=0.0, kind="none", rng=RngStream(0))
+        fus = CueFusion(3, ("place",), p=0.0, kind="bernoulli", rng=RngStream(0))
         fus.w_img.data = np.eye(3)
         fus.w_cue["place"].data = np.eye(3)
         fus.w_out["place"].data = np.eye(3)
@@ -116,7 +118,7 @@ class TestCueFusion:
         assert np.allclose(mu.data, np.tanh(g_i * g_p), rtol=1e-14)
 
     def test_zero_output_weights_give_zero(self):
-        fus = CueFusion(3, ("caption",), p=0.0, kind="none", rng=RngStream(1))
+        fus = CueFusion(3, ("caption",), p=0.0, kind="bernoulli", rng=RngStream(1))
         fus.w_out["caption"].data = np.zeros((3, 3))
         mu = fus.fuse("caption", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         assert np.array_equal(mu.data, np.zeros((2, 3)))
@@ -138,11 +140,11 @@ class TestCueFusion:
 
     def test_shared_caption_tag_output_flag(self):
         # every cue owns its output projection
-        separate = CueFusion(3, ("caption", "tag"), p=0.0, kind="none", rng=RngStream(4))
+        separate = CueFusion(3, ("caption", "tag"), p=0.0, kind="bernoulli", rng=RngStream(4))
         assert separate.w_out["tag"] is not separate.w_out["caption"]
 
     def test_unconfigured_cue_rejected(self):
-        fus = CueFusion(3, ("place",), p=0.0, kind="none", rng=RngStream(5))
+        fus = CueFusion(3, ("place",), p=0.0, kind="bernoulli", rng=RngStream(5))
         with pytest.raises(ValueError):
             fus.fuse("tag", Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
 
@@ -150,7 +152,7 @@ class TestCueFusion:
 class TestModerator:
     def _setup(self, n_cues=3, batch=4, dim=5, seed=0):
         rng = RngStream(seed)
-        mod = Moderator(image_dim=6, dim=dim, p=0.0, kind="none", rng=rng.child("mod"))
+        mod = Moderator(image_dim=6, dim=dim, p=0.0, kind="bernoulli", rng=rng.child("mod"))
         feats = Tensor(rng.child("x").normal((batch, 6)))
         names = ("place", "caption", "tag")[:n_cues]
         mus = {c: Tensor(rng.child(c).normal((batch, dim))) for c in names}
@@ -231,7 +233,7 @@ class TestMixEncoding:
                    "caption": fus.fuse("caption", g_img, g_c, r.child("fc"))}
             pi, order = mod.gate(mus, feats, rng=r.child("gate"))
             g_enc = mix_encoding(pi, mus, order)
-            return ad.sum_all(ad.mul(g_enc, g_enc))
+            return total(ad.mul(g_enc, g_enc))
 
         params = list(fus.named_params().values()) + list(mod.named_params().values())
         assert ad.grad_check(f, params, h=1e-5) <= 1e-5

@@ -279,27 +279,26 @@ class TestCorpusEvaluation:
         rng = np.random.default_rng(11)
         cands = [_random_sentence(rng, 1, 6) for _ in range(6)]
         refs = [[_random_sentence(rng, 1, 6) for _ in range(3)] for _ in range(6)]
-        for mode in ("max", "corpus"):
-            report = evaluate_corpus(cands, refs, bleu_mode=mode)
-            for n in range(1, 5):
-                assert 0.0 <= report.bleu[n] <= 100.0
-            assert 0.0 <= report.rouge_l <= 100.0
-            assert report.cider >= 0.0
-            assert len(report.per_example) == 6
+        report = evaluate_corpus(cands, refs)
+        for n in range(1, 5):
+            assert 0.0 <= report.bleu[n] <= 100.0
+            assert 0.0 <= corpus_bleu(cands, refs, n) <= 1.0
+        assert 0.0 <= report.rouge_l <= 100.0
+        assert report.cider >= 0.0
+        assert len(report.per_example) == 6
 
     def test_max_mode_is_mean_of_per_example(self):
         cands, refs = self._toy()
-        report = evaluate_corpus(cands, refs, bleu_mode="max")
+        report = evaluate_corpus(cands, refs)
         want = sum(r["bleu2"] for r in report.per_example) / 2
         np.testing.assert_allclose(report.bleu[2], want, atol=1e-12)
 
     def test_modes_differ_when_one_example_fails(self):
         cands = ["a b".split(), "p q".split()]
         refs = [["a b".split()], [["a", "b"]]]
-        max_mode = evaluate_corpus(cands, refs, bleu_mode="max")
-        corpus_mode = evaluate_corpus(cands, refs, bleu_mode="corpus")
+        max_mode = evaluate_corpus(cands, refs)
         assert max_mode.bleu[1] == 50.0
-        np.testing.assert_allclose(corpus_mode.bleu[1], 100.0 * 2.0 / 4.0, atol=1e-12)
+        np.testing.assert_allclose(corpus_bleu(cands, refs, 1), 2.0 / 4.0, atol=1e-12)
 
     def test_csv_emission(self):
         cands, refs = self._toy()
@@ -311,10 +310,6 @@ class TestCorpusEvaluation:
         assert lines[1].startswith("bleu1,")
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError, match="bleu_mode"):
-            evaluate_corpus([["a"]], [[["a"]]], bleu_mode="median")
-        with pytest.raises(ValueError, match="bleu_mode"):
-            evaluate_corpus([["a"]], [[["a"]]], bleu_mode="max_ref")
         with pytest.raises(ValueError, match="nonempty"):
             evaluate_corpus([], [])
 
@@ -366,14 +361,10 @@ class TestBleuOrdersFromOneCount:
                 assert corpus_bleu(cands, refs, n) == _per_order_corpus_bleu(cands, refs, n)
                 assert bleu_n(cands[0], refs[0], n) == \
                     _per_order_corpus_bleu(cands[:1], refs[:1], n)
-            corpus = evaluate_corpus(cands, refs, bleu_mode="corpus")
-            assert corpus.bleu == {n: 100.0 * _per_order_corpus_bleu(cands, refs, n)
-                                   for n in range(1, 5)}
-            per_max = evaluate_corpus(cands, refs, bleu_mode="max")
+            per_max = evaluate_corpus(cands, refs)
             for row, cand, rs in zip(per_max.per_example, cands, refs):
                 for n in range(1, 5):
                     assert row[f"bleu{n}"] == 100.0 * max(
                         _per_order_corpus_bleu([cand], [[r]], n) for r in rs)
-            assert per_max.per_example == corpus.per_example
             assert per_max.bleu == {n: sum(r[f"bleu{n}"] for r in per_max.per_example)
                                     / size for n in range(1, 5)}

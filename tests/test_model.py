@@ -157,7 +157,7 @@ class TestEncode:
 
     def test_zero_rate_stochastic_equals_deterministic(self):
         ds = small_dataset()
-        m = small_model(p=0.0, kind="none")
+        m = small_model(p=0.0)
         batch = make_batch(ds, range(3))
         sto = m.encode(batch, RngStream(9).child("enc"))
         det = m.encode(batch)
@@ -232,7 +232,7 @@ class TestStreamIsTheSwitch:
         call = SWITCHED[name](0.3, "bernoulli")
         assert not _same_bytes(call(RngStream(7)), call(None))
 
-    @pytest.mark.parametrize("p, kind", [(0.0, "bernoulli"), (0.3, "none")])
+    @pytest.mark.parametrize("p, kind", [(0.0, "bernoulli")])
     @pytest.mark.parametrize("name", sorted(SWITCHED))
     def test_dropout_free_component_draws_nothing(self, name, p, kind, monkeypatch):
         call = SWITCHED[name](p, kind)
@@ -276,7 +276,7 @@ class TestNamedParams:
 
 class TestDropoutOverride:
     def test_forces_and_restores_every_component(self):
-        m = small_model(cues=("image", "place", "caption", "tag"), p=0.0, kind="none")
+        m = small_model(cues=("image", "place", "caption", "tag"), p=0.0, kind="gaussian")
         comps = m.dropout_components()
         before = [(c.p, c.kind) for c in comps]
         with dropout_override(m, 0.4, "bernoulli"):
@@ -294,7 +294,7 @@ class TestDropoutOverride:
 
     def test_override_makes_dropout_free_model_stochastic(self):
         ds = small_dataset()
-        m = small_model(p=0.0, kind="none")
+        m = small_model(p=0.0)
         batch = make_batch(ds, [0, 1])
         det = m.encode(batch).g_enc.data
         with dropout_override(m, 0.4, "bernoulli"):

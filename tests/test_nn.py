@@ -11,6 +11,8 @@ import mcvqg.nn as nn
 from mcvqg.autodiff import Tape, Tensor
 from mcvqg.rng import RngStream
 
+from loss_helpers import total
+
 
 def manual_lstm_step(x, h, c, wx, wh, b, gmask=None, omask=None):
     """Straight-line LSTM step oracle (packed gates: i, f, o, candidate)."""
@@ -72,7 +74,7 @@ class TestBayesianMLP:
         assert found_zero_mask
 
     def test_init_bounds(self):
-        net = nn.BayesianMLP([100, 50], p=0.0, kind="none", rng=RngStream(4))
+        net = nn.BayesianMLP([100, 50], p=0.0, kind="bernoulli", rng=RngStream(4))
         w = net.weights[0].data
         bound = 1.0 / np.sqrt(100)
         assert np.all(np.abs(w) <= bound)
@@ -86,7 +88,7 @@ class TestBayesianMLP:
 
         def f():
             out = net.forward(x, rng=RngStream(*rng_state))
-            return ad.sum_all(ad.mul(out, out))
+            return total(ad.mul(out, out))
 
         params = list(net.named_params("mlp").values())
         assert ad.grad_check(f, params, h=1e-5) <= 1e-6
@@ -94,7 +96,7 @@ class TestBayesianMLP:
 
 class TestBayesianLSTMCell:
     def test_zero_everything_gives_zero_hidden(self):
-        cell = nn.BayesianLSTMCell(2, 3, p=0.0, kind="none", rng=RngStream(0))
+        cell = nn.BayesianLSTMCell(2, 3, p=0.0, kind="bernoulli", rng=RngStream(0))
         for t in (cell.wx, cell.wh, cell.b):
             t.data = np.zeros_like(t.data)
         inputs = [Tensor(np.zeros((2, 2))) for _ in range(4)]
@@ -103,7 +105,7 @@ class TestBayesianLSTMCell:
         assert np.array_equal(h.data, np.zeros((2, 3)))
 
     def test_single_step_matches_manual(self):
-        cell = nn.BayesianLSTMCell(3, 4, p=0.0, kind="none", rng=RngStream(1))
+        cell = nn.BayesianLSTMCell(3, 4, p=0.0, kind="bernoulli", rng=RngStream(1))
         x = np.array([[0.3, -0.7, 1.1]])
         h0 = np.array([[0.1, 0.2, -0.1, 0.0]])
         c0 = np.array([[0.05, -0.2, 0.3, 0.4]])
@@ -144,7 +146,7 @@ class TestBayesianLSTMCell:
         def f():
             # the same stream draws the same masks on every call
             _, h = cell.sequence(inputs, rng=rng)
-            return ad.sum_all(ad.mul(h, h))
+            return total(ad.mul(h, h))
 
         params = list(cell.named_params("cell").values())
         assert ad.grad_check(f, params, h=1e-5) <= 1e-6
@@ -183,8 +185,8 @@ class TestLstmStep:
 
         def f():
             h2, c2 = ad.lstm_step(*ops, gates, out)
-            return ad.add(ad.sum_all(ad.mul(h2, Tensor(wh_))),
-                          ad.sum_all(ad.mul(c2, ad.mul(c2, Tensor(wc_)))))
+            return ad.add(total(ad.mul(h2, Tensor(wh_))),
+                          total(ad.mul(c2, ad.mul(c2, Tensor(wc_)))))
 
         assert ad.grad_check(f, ops, h=1e-5) <= 1e-6
 
@@ -197,7 +199,7 @@ class TestLstmStep:
         def f():
             h2, c2 = ad.lstm_step(*ops, gates, out)
             y = h2 if read == "h" else c2
-            return ad.sum_all(ad.mul(y, y))
+            return total(ad.mul(y, y))
 
         assert ad.grad_check(f, ops, h=1e-5) <= 1e-6
 
@@ -237,7 +239,7 @@ class TestEmbeddingTable:
         emb = nn.EmbeddingTable(4, 2, RngStream(2))
         with Tape() as tape:
             rows = emb.lookup(np.array([2, 2, 0]))
-            loss = ad.sum_all(rows)
+            loss = total(rows)
         tape.backward(loss)
         want = np.zeros((4, 2))
         want[2] = 2.0

@@ -446,19 +446,12 @@ class TestEvaluateModel:
 
     def test_dropout_free_mc_samples_are_identical(self):
         cfg = tiny_config(decision_mode="mc", eval_mc_samples=5,
-                          dropout={"rate": 0.0, "kind": "none"})
+                          dropout={"rate": 0.0})
         model = build_model(cfg, DS)
         _, records = evaluate_model(model, DS, [0, 1], cfg=cfg)
         for rec in records:
             assert rec["samples"] == [rec["samples"][0]] * 5
             assert rec["epistemic"] == 0.0
-
-    def test_mc_request_downgrades_without_inference_sampling(self):
-        cfg = tiny_config(decision_mode="mc", mc_inference=False)
-        model = build_model(cfg, DS)
-        _, records = evaluate_model(model, DS, [0], cfg=cfg)
-        assert records[0]["epistemic"] == 0.0
-        assert len(records[0]["samples"]) == 1
 
     def test_empty_indices_rejected(self):
         cfg = tiny_config()
@@ -480,7 +473,7 @@ class TestVarianceRecords:
             variance_records(model, DS, [0], T=1, rng=RngStream(0).child("v"))
 
     def test_dropout_free_model_has_exactly_zero_variance(self):
-        cfg = tiny_config(dropout={"rate": 0.0, "kind": "none"})
+        cfg = tiny_config(dropout={"rate": 0.0})
         model = build_model(cfg, DS)
         records = variance_records(model, DS, [0, 1, 2], T=4,
                                    rng=RngStream(0).child("v"))
@@ -489,12 +482,12 @@ class TestVarianceRecords:
             np.testing.assert_array_equal(r.mc_mean, r.deterministic)
 
     def test_rate_override_probes_and_restores(self):
-        cfg = tiny_config(dropout={"rate": 0.0, "kind": "none"})
+        cfg = tiny_config(dropout={"rate": 0.0, "kind": "gaussian"})
         model = build_model(cfg, DS)
         records = variance_records(model, DS, [0, 1], T=4,
                                    rng=RngStream(0).child("v"), sample_rate=0.4)
         assert all(r.normalized_variance > 0.0 for r in records)
-        assert all(c.p == 0.0 and c.kind == "none"
+        assert all(c.p == 0.0 and c.kind == "gaussian"
                    for c in model.dropout_components())
 
     def test_mc_mean_matches_batch1_encodes(self):

@@ -19,7 +19,9 @@ the benchmark does not move these hashes). The `ragged-*` configs cut every
 caption to a random length in 1..7, so padded caption rows are exercised,
 under Bernoulli and Gaussian dropout. `mixture` swaps the moderator for the
 concatenation combiner, and `single-caption` decodes straight from one
-ragged caption cue, so neither fusion nor a combiner runs.
+ragged caption cue, so neither fusion nor a combiner runs. `mumc-off` trains
+the `mc-infer` shape on the plain cross-entropy alone, the baseline MUMC is
+compared against.
 """
 
 import argparse
@@ -65,6 +67,7 @@ CONFIGS = {
                         40, True),
     "mixture": ({**MC_INFER, "combiner": "mixture"}, 40, False),
     "single-caption": ({**MC_INFER, "cues": ["caption"]}, 40, True),
+    "mumc-off": ({**MC_INFER, "mumc_enabled": False}, 40, False),
 }
 EVAL_INDICES = list(range(4))
 MC_INDICES = [0, 1]
