@@ -280,18 +280,19 @@ def _question(com: _Committee) -> QuestionSample:
 
 
 def generate_greedy(dec: Decoder, g_enc: Tensor, max_len: int = 16,
-                    rng: RngStream = None, masks=None) -> QuestionSample:
-    """Argmax decoding (ties resolve to the lowest token id) until EOS or
-    max_len tokens: the free-running decode of a committee of one. Given a
-    stream and no masks, it draws one mask set for the whole sequence."""
+                    rng: RngStream = None, masks=None) -> list:
+    """Argmax decoding (ties resolve to the lowest token id) of every row of
+    g_enc until its EOS or max_len tokens: the free-running decode of
+    committees of one, all rows stepping as one batch. Returns one
+    QuestionSample per row, in row order. Given a stream and no masks, it
+    draws one mask set for the whole sequence, one mask row per encoding
+    row."""
     with ad.no_grad():
-        batch = g_enc.data.shape[0]
-        if batch != 1:
-            raise ad.ShapeError(f"generate_greedy decodes one example, got batch {batch}")
         if masks is None:
-            masks = dec.cell.sample_masks(1, rng.child("cell") if rng else None)
-        com, = _decode_committees(dec, _start(dec, g_enc, masks), masks, 1, max_len)
-        return _question(com)
+            masks = dec.cell.sample_masks(g_enc.data.shape[0],
+                                          rng.child("cell") if rng else None)
+        return [_question(com) for com in
+                _decode_committees(dec, _start(dec, g_enc, masks), masks, 1, max_len)]
 
 
 def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+BLEU_MAX_ORDER = 4
 CIDER_MAX_ORDER = 4
 ROUGE_BETA = 1.2
 
@@ -26,19 +27,37 @@ def _closest_ref_length(cand_len: int, references) -> int:
     return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
 
 
-def _clipped_counts(candidate, references, k: int):
-    """(clipped matches, candidate n-gram total) for order k."""
-    cand_counts = Counter(ngrams(candidate, k))
-    total = sum(cand_counts.values())
-    if total == 0:
-        return 0, 0
-    max_ref = Counter()
-    for ref in references:
-        for g, v in Counter(ngrams(ref, k)).items():
-            if v > max_ref[g]:
-                max_ref[g] = v
-    clipped = sum(min(v, max_ref[g]) for g, v in cand_counts.items())
-    return clipped, total
+def _ngram_counts(tokens, n_max: int) -> list:
+    """The k-gram Counters of one sentence, k = 1..n_max."""
+    tokens = list(tokens)
+    return [Counter(ngrams(tokens, k)) for k in range(1, n_max + 1)]
+
+
+def _clipped_counts(cand_counts: Counter, max_ref: Counter):
+    """(clipped matches, candidate n-gram total) of one order, clipping by
+    the per-reference maximum counts."""
+    return (sum(min(v, max_ref[g]) for g, v in cand_counts.items()),
+            sum(cand_counts.values()))
+
+
+def _bleu_from_totals(totals, c_sum: int, r_sum: int) -> list:
+    """BLEU of every order 1..len(totals) from summed (clipped, total)
+    pairs and summed candidate / closest-reference lengths.
+
+    Order k's score reads only the counts of orders 1..k, and its log sum is
+    the running sum at k, so each equals what a call for order k alone gives.
+    """
+    scores = [0.0] * len(totals)
+    if c_sum == 0:
+        return scores
+    bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
+    log_sum = 0.0
+    for k, (clipped, total) in enumerate(totals, start=1):
+        if clipped == 0:     # includes an order with no n-grams at all
+            break            # this order and every higher one score 0
+        log_sum += math.log(clipped / total)
+        scores[k - 1] = bp * math.exp(log_sum / k)
+    return scores
 
 
 def bleu_n(candidate, references, n: int) -> float:
@@ -61,13 +80,9 @@ def corpus_bleu(candidates, references_list, n: int) -> float:
 
 
 def _corpus_bleu_orders(candidates, references_list, n: int) -> list:
-    """Corpus BLEU of every order 1..n, from one clipped count per order.
-
-    Order k's score reads only the counts of orders 1..k, and its log sum is
-    the running sum at k, so each equals what a call for order k alone gives.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError(f"BLEU order must be 1..4, got {n}")
+    """Corpus BLEU of every order 1..n, from one n-gram count per sentence."""
+    if not 1 <= n <= BLEU_MAX_ORDER:
+        raise ValueError(f"BLEU order must be 1..{BLEU_MAX_ORDER}, got {n}")
     if len(candidates) != len(references_list) or not candidates:
         raise ValueError("corpus BLEU needs matched, nonempty candidate/reference lists")
     totals = [[0, 0] for _ in range(n)]
@@ -80,21 +95,15 @@ def _corpus_bleu_orders(candidates, references_list, n: int) -> list:
             continue
         c_sum += len(cand)
         r_sum += _closest_ref_length(len(cand), refs)
-        for k in range(1, n + 1):
-            clipped, total = _clipped_counts(cand, refs, k)
-            totals[k - 1][0] += clipped
-            totals[k - 1][1] += total
-    scores = [0.0] * n
-    if c_sum == 0:
-        return scores
-    bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
-    log_sum = 0.0
-    for k, (clipped, total) in enumerate(totals, start=1):
-        if clipped == 0:     # includes an order with no n-grams at all
-            break            # this order and every higher one score 0
-        log_sum += math.log(clipped / total)
-        scores[k - 1] = bp * math.exp(log_sum / k)
-    return scores
+        ref_counts = [_ngram_counts(ref, n) for ref in refs]
+        for k, counts in enumerate(_ngram_counts(cand, n)):
+            max_ref = Counter()
+            for rc in ref_counts:
+                max_ref |= rc[k]
+            clipped, total = _clipped_counts(counts, max_ref)
+            totals[k][0] += clipped
+            totals[k][1] += total
+    return _bleu_from_totals(totals, c_sum, r_sum)
 
 
 def lcs_length(a, b) -> int:
@@ -127,14 +136,12 @@ def rouge_l(candidate, references, beta: float = ROUGE_BETA) -> float:
     return best
 
 
-def _tfidf(tokens, k: int, df: Counter, n_docs: int):
+def _tfidf(counts: Counter, df: Counter, log_n: float):
     # n-grams absent from every reference set carry zero weight; with them
     # excluded, duplicating the whole corpus leaves every score unchanged
-    counts = Counter(ngrams(tokens, k))
     total = sum(counts.values())
     if total == 0:
         return {}
-    log_n = math.log(n_docs)
     return {g: (v / total) * (log_n - math.log(df[g]))
             for g, v in counts.items() if df[g] > 0}
 
@@ -160,27 +167,30 @@ def cider(candidates, references_list, n_max: int = CIDER_MAX_ORDER):
     """
     if len(candidates) != len(references_list) or not candidates:
         raise ValueError("CIDEr needs matched, nonempty candidate/reference lists")
-    n_docs = len(references_list)
+    return _cider([_ngram_counts(cand, n_max) for cand in candidates],
+                  [[_ngram_counts(ref, n_max) for ref in refs]
+                   for refs in references_list], n_max)
+
+
+def _cider(cand_counts, ref_counts, n_max: int):
+    """CIDEr from each candidate's and reference's k-gram Counters
+    (`_ngram_counts`, at least n_max orders), counted once per sentence."""
     dfs = [Counter() for _ in range(n_max)]
-    for refs in references_list:
+    for refs in ref_counts:
         if not refs:
             raise ValueError("CIDEr needs at least one reference per example")
-        for k in range(1, n_max + 1):
-            seen = set()
-            for ref in refs:
-                seen.update(ngrams(ref, k))
-            for g in seen:
-                dfs[k - 1][g] += 1
+        for k, df in enumerate(dfs):
+            df.update(set().union(*(rc[k] for rc in refs)))
+    log_n = math.log(len(ref_counts))
     scores = []
-    for cand, refs in zip(candidates, references_list):
+    for cc, refs in zip(cand_counts, ref_counts):
         terms = []
-        for k in range(1, n_max + 1):
-            cv = _tfidf(cand, k, dfs[k - 1], n_docs)
-            cells = []
-            for ref in refs:
-                cell = _cosine(cv, _tfidf(ref, k, dfs[k - 1], n_docs))
-                if cell is not None:
-                    cells.append(cell)
+        for k, df in enumerate(dfs):
+            cv = _tfidf(cc[k], df, log_n)
+            if not cv:          # every cosine with an empty vector is None
+                continue
+            cells = [_cosine(cv, _tfidf(rc[k], df, log_n)) for rc in refs]
+            cells = [cell for cell in cells if cell is not None]
             if cells:
                 terms.append(sum(cells) / len(cells))
         scores.append(10.0 * sum(terms) / len(terms) if terms else 0.0)
@@ -216,14 +226,22 @@ def evaluate_corpus(candidates, references_list) -> EvalReport:
 
     BLEU scores each example against each reference separately and keeps
     the best, then means over examples; it is unsmoothed. ROUGE-L is the
-    per-example max too; CIDEr is corpus-level by construction.
+    per-example max too; CIDEr is corpus-level by construction. Every
+    sentence's n-grams are counted once, and BLEU and CIDEr both read those
+    counts.
     """
     if len(candidates) != len(references_list) or not candidates:
         raise ValueError("evaluation needs matched, nonempty candidate/reference lists")
-    cider_scores, cider_mean = cider(candidates, references_list)
+    n_max = max(BLEU_MAX_ORDER, CIDER_MAX_ORDER)
+    cand_counts = [_ngram_counts(cand, n_max) for cand in candidates]
+    ref_counts = [[_ngram_counts(ref, n_max) for ref in refs] for refs in references_list]
+    cider_scores, cider_mean = _cider(cand_counts, ref_counts, CIDER_MAX_ORDER)
     per_example = []
-    for cand, refs, cd in zip(candidates, references_list, cider_scores):
-        per_ref = [_corpus_bleu_orders([cand], [[ref]], 4) for ref in refs]
+    for cand, refs, cc, rcs, cd in zip(candidates, references_list, cand_counts,
+                                       ref_counts, cider_scores):
+        per_ref = [_bleu_from_totals([_clipped_counts(c, r) for c, r in
+                                      zip(cc[:BLEU_MAX_ORDER], rc)], len(cand), len(ref))
+                   for ref, rc in zip(refs, rcs)]
         row = {f"bleu{n}": 100.0 * max(scores[n - 1] for scores in per_ref)
                for n in range(1, 5)}
         row["rouge_l"] = 100.0 * rouge_l(cand, refs)

@@ -228,7 +228,12 @@ def save_checkpoint(path, params: dict, meta: dict = None):
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (name -> ndarray, meta). A file that is
-    not a checkpoint object of finite parameters raises ValueError."""
+    not a checkpoint object of finite parameters raises ValueError.
+
+    It does not check meta's vocabulary fingerprint against any dataset:
+    only the CLI's `_restore_model` does. A caller restoring a model for a
+    dataset compares `meta.get("vocab_fingerprint")` with
+    `dataset.vocab.fingerprint()` itself."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape
-from .config import RunConfig, config_to_dict
+from .config import DECISION_MODES, RunConfig, config_to_dict
 from .data import Dataset, atomic_write
 from .decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
                       gen_loss, generate_greedy, generate_mc, mumc_refine,
@@ -28,6 +28,9 @@ from .metrics import EvalReport, evaluate_corpus
 from .model import Batch, MultiCueModel, dropout_override, make_batch
 from .nn import mc_predict, save_checkpoint
 from .rng import RngStream
+
+# examples per encode and decode in deterministic evaluation; bounds memory
+EVAL_CHUNK = 256
 
 
 class TrainingDiverged(RuntimeError):
@@ -307,32 +310,39 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
                    rng: RngStream = None):
     """Greedy generation over `indices` followed by corpus scoring against
     each example's full reference set. Returns (EvalReport, generation
-    records).
+    records), one record per index in `indices` order.
 
-    Deterministic decisions decode each example alone. MC decisions encode
-    and decode each example once as the T rows of one batch, sample t on
-    stream rng.child(idx).child(t), so a record depends only on the model,
-    the example and the stream."""
+    Deterministic decisions encode and greedy-decode the examples as one
+    batch per EVAL_CHUNK of them, each row a committee of one. A batched
+    product can round differently from a batch-1 one, so a record's
+    uncertainty floats can differ from a batch-1 decode's in the last bits
+    (tokens are tested equal). MC decisions encode and decode each example once as the T
+    rows of one batch, sample t on stream rng.child(idx).child(t), so a
+    record depends only on the model, the example and the stream."""
     indices = list(indices)
     if not indices:
         raise ValueError("evaluation needs at least one example")
     mode = decision_mode if decision_mode is not None else cfg.decision_mode
+    if mode not in DECISION_MODES:
+        raise ValueError(f"decision mode must be one of {DECISION_MODES}, "
+                         f"got {mode!r}")
     if mode == "mc" and rng is None:
         rng = RngStream(cfg.seed).child("eval")
-    vocab = dataset.vocab
-    candidates, references, records = [], [], []
-    for idx in indices:
-        bundle = dataset.bundles[idx]
-        if mode == "deterministic":
-            enc = model.encode(make_batch(dataset, [idx]))
-            sample = generate_greedy(model.decoder, enc.g_enc, cfg.max_len)
-            tokens = sample.tokens
-            record = {"id": bundle.id, "tokens": list(tokens),
-                      "samples": [list(tokens)],
-                      "epistemic": 0.0,
-                      "aleatoric": sample.predictive_uncertainty,
-                      "predictive": sample.predictive_uncertainty}
-        else:
+    records = []
+    if mode == "deterministic":
+        for start in range(0, len(indices), EVAL_CHUNK):
+            chunk = indices[start:start + EVAL_CHUNK]
+            enc = model.encode(make_batch(dataset, chunk))
+            for idx, sample in zip(chunk, generate_greedy(model.decoder, enc.g_enc,
+                                                          cfg.max_len)):
+                records.append({"id": dataset.bundles[idx].id,
+                                "tokens": list(sample.tokens),
+                                "samples": [list(sample.tokens)],
+                                "epistemic": 0.0,
+                                "aleatoric": sample.predictive_uncertainty,
+                                "predictive": sample.predictive_uncertainty})
+    else:
+        for idx in indices:
             stacked = make_batch(dataset, [idx] * cfg.eval_mc_samples)
 
             def producer(rows, batch=stacked):
@@ -341,16 +351,19 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
                                           T=cfg.eval_mc_samples,
                                           max_len=cfg.max_len,
                                           rng=rng.child(int(idx)))
-            tokens = unc["committee_tokens"]
-            record = {"id": bundle.id, "tokens": list(tokens),
-                      "samples": [list(s.tokens) for s in samples],
-                      "epistemic": unc["epistemic"],
-                      "aleatoric": unc["aleatoric"],
-                      "predictive": unc["predictive"]}
-        candidates.append(tokens_to_words(tokens, vocab))
-        references.append([tokens_to_words(q, vocab) for q in bundle.questions])
-        record["words"] = candidates[-1]
-        records.append(record)
+            records.append({"id": dataset.bundles[idx].id,
+                            "tokens": list(unc["committee_tokens"]),
+                            "samples": [list(s.tokens) for s in samples],
+                            "epistemic": unc["epistemic"],
+                            "aleatoric": unc["aleatoric"],
+                            "predictive": unc["predictive"]})
+    vocab = dataset.vocab
+    candidates, references = [], []
+    for idx, record in zip(indices, records):
+        record["words"] = tokens_to_words(record["tokens"], vocab)
+        candidates.append(record["words"])
+        references.append([tokens_to_words(q, vocab)
+                           for q in dataset.bundles[idx].questions])
     report = evaluate_corpus(candidates, references)
     return report, records
 

@@ -358,7 +358,7 @@ class TestAcceptance:
         res1 = train_model(cfg1, ds1)
         nats = teacher_loss(res1.model, make_batch(ds1, [0]))
         enc = res1.model.encode(make_batch(ds1, [0]))
-        sample = generate_greedy(res1.model.decoder, enc.g_enc, cfg1.max_len)
+        sample, = generate_greedy(res1.model.decoder, enc.g_enc, cfg1.max_len)
         gold = list(ds1.bundles[0].questions[0])
         assert nats < 0.05
         assert sample.tokens == gold

@@ -435,7 +435,7 @@ class TestGreedyGeneration:
         dec = _decoder()
         dec.b_out.data[:] = -5.0
         dec.b_out.data[EOS] = 5.0
-        out = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=8)
+        out, = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=8)
         assert out.tokens == [EOS]
         assert len(out.logits) == 1 and len(out.variances) == 1
         assert out.logits[0].shape == (VOCAB,)
@@ -444,26 +444,37 @@ class TestGreedyGeneration:
         dec = _decoder()
         dec.b_out.data[:] = -5.0
         dec.b_out.data[5] = 5.0
-        out = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=4)
+        out, = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=4)
         assert out.tokens == [5, 5, 5, 5]
 
     def test_ties_resolve_to_lowest_id(self):
         dec = _decoder()
         dec.w_out.data[:] = 0.0
         dec.b_out.data[:] = 0.0
-        out = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=3)
+        out, = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=3)
         assert out.tokens == [0, 0, 0]
 
-    def test_single_example_contract(self):
+    def test_rows_decode_as_batch1_decodes(self):
         dec = _decoder()
-        with pytest.raises(ShapeError, match="batch"):
-            generate_greedy(dec, Tensor(np.zeros((2, ENC))))
+        dec.b_out.data[EOS] += 0.1
+        g = RngStream(2).normal((5, ENC)) * 3
+        rows = generate_greedy(dec, Tensor(g), max_len=5)
+        refs = [generate_greedy(dec, Tensor(g[i:i + 1]), max_len=5)[0] for i in range(5)]
+        assert len(rows) == 5
+        # rows finish at different steps, one of them cut at max_len
+        assert [len(r.tokens) for r in refs] == [5, 2, 1, 1, 1]
+        assert refs[0].tokens[-1] != EOS
+        for row, ref in zip(rows, refs):
+            assert row.tokens == ref.tokens
+            assert all(_close(a, b) for a, b in zip(row.logits, ref.logits))
+            assert all(_close(a, b) for a, b in zip(row.variances, ref.variances))
+            assert _close(row.predictive_uncertainty, ref.predictive_uncertainty)
 
     def test_stochastic_decode_reproducible_by_stream(self):
         dec = _decoder(p=0.4)
         g = Tensor(RngStream(3).normal((1, ENC)))
-        a = generate_greedy(dec, g, max_len=6, rng=RngStream(12))
-        b = generate_greedy(dec, g, max_len=6, rng=RngStream(12))
+        a, = generate_greedy(dec, g, max_len=6, rng=RngStream(12))
+        b, = generate_greedy(dec, g, max_len=6, rng=RngStream(12))
         assert a.tokens == b.tokens
         for ya, yb in zip(a.logits, b.logits):
             np.testing.assert_array_equal(ya, yb)
@@ -506,7 +517,7 @@ class TestMcGeneration:
         samples, stats, unc = generate_mc(dec, lambda r: Tensor(g), T=T,
                                           max_len=max_len, rng=rng)
         masks = [dec.cell.sample_masks(1, rng.child(t).child("dec")) for t in range(T)]
-        refs = [generate_greedy(dec, Tensor(g[t:t + 1]), max_len, masks=m)
+        refs = [generate_greedy(dec, Tensor(g[t:t + 1]), max_len, masks=m)[0]
                 for t, m in enumerate(masks)]
         assert len({tuple(r.tokens) for r in refs}) > 1
         for s, ref in zip(samples, refs):

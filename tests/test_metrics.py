@@ -368,3 +368,119 @@ class TestBleuOrdersFromOneCount:
                         _per_order_corpus_bleu([cand], [[r]], n) for r in rs)
             assert per_max.bleu == {n: sum(r[f"bleu{n}"] for r in per_max.per_example)
                                     / size for n in range(1, 5)}
+
+
+# --- the scoring code as it was before the one-count rewrite ----------------
+# Every sentence's n-grams were counted again for each use: the candidate
+# once per reference and order for BLEU, each reference once for CIDEr's
+# document frequencies and again for its tf-idf vector. Kept to pin the bits.
+
+def _recount_bleu_orders(cand, ref, n=4):
+    cand = list(cand)
+    scores = [0.0] * n
+    if not cand:
+        return scores
+    totals = []
+    for k in range(1, n + 1):
+        cand_counts = Counter(ngrams(cand, k))
+        total = sum(cand_counts.values())
+        if total == 0:
+            totals.append((0, 0))
+            continue
+        max_ref = Counter()
+        for g, v in Counter(ngrams(ref, k)).items():
+            if v > max_ref[g]:
+                max_ref[g] = v
+        totals.append((sum(min(v, max_ref[g]) for g, v in cand_counts.items()), total))
+    c_sum, r_sum = len(cand), len(ref)
+    bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)
+    log_sum = 0.0
+    for k, (clipped, total) in enumerate(totals, start=1):
+        if clipped == 0:
+            break
+        log_sum += math.log(clipped / total)
+        scores[k - 1] = bp * math.exp(log_sum / k)
+    return scores
+
+
+def _recount_tfidf(tokens, k, df, n_docs):
+    counts = Counter(ngrams(tokens, k))
+    total = sum(counts.values())
+    if total == 0:
+        return {}
+    log_n = math.log(n_docs)
+    return {g: (v / total) * (log_n - math.log(df[g]))
+            for g, v in counts.items() if df[g] > 0}
+
+
+def _recount_cosine(a, b):
+    na = math.sqrt(sum(v * v for v in a.values()))
+    nb = math.sqrt(sum(v * v for v in b.values()))
+    if na == 0.0 or nb == 0.0:
+        return None
+    return sum(v * b.get(g, 0.0) for g, v in a.items()) / (na * nb)
+
+
+def _recount_cider(candidates, references_list, n_max=4):
+    n_docs = len(references_list)
+    dfs = [Counter() for _ in range(n_max)]
+    for refs in references_list:
+        for k in range(1, n_max + 1):
+            seen = set()
+            for ref in refs:
+                seen.update(ngrams(ref, k))
+            for g in seen:
+                dfs[k - 1][g] += 1
+    scores = []
+    for cand, refs in zip(candidates, references_list):
+        terms = []
+        for k in range(1, n_max + 1):
+            cv = _recount_tfidf(cand, k, dfs[k - 1], n_docs)
+            cells = []
+            for ref in refs:
+                cell = _recount_cosine(cv, _recount_tfidf(ref, k, dfs[k - 1], n_docs))
+                if cell is not None:
+                    cells.append(cell)
+            if cells:
+                terms.append(sum(cells) / len(cells))
+        scores.append(10.0 * sum(terms) / len(terms) if terms else 0.0)
+    return scores, sum(scores) / len(scores)
+
+
+def _recount_evaluate_corpus(candidates, references_list):
+    cider_scores, cider_mean = _recount_cider(candidates, references_list)
+    per_example = []
+    for cand, refs, cd in zip(candidates, references_list, cider_scores):
+        per_ref = [_recount_bleu_orders(cand, ref) for ref in refs]
+        row = {f"bleu{n}": 100.0 * max(scores[n - 1] for scores in per_ref)
+               for n in range(1, 5)}
+        row["rouge_l"] = 100.0 * rouge_l(cand, refs)
+        row["cider"] = cd
+        per_example.append(row)
+    count = len(per_example)
+    bleu = {n: sum(r[f"bleu{n}"] for r in per_example) / count for n in range(1, 5)}
+    rouge = sum(r["rouge_l"] for r in per_example) / count
+    return EvalReport(bleu=bleu, rouge_l=rouge, cider=cider_mean,
+                      per_example=per_example)
+
+
+class TestScoringFromOneCount:
+    """evaluate_corpus counts each sentence's n-grams once and feeds BLEU and
+    CIDEr from those counts; every score must equal the recounting code's bit
+    for bit."""
+
+    def test_random_corpora_match_the_recounting_code_exactly(self):
+        rng = np.random.default_rng(1405)
+        shapes = Counter()
+        for case in range(600):
+            size = 1 if case % 5 == 0 else int(rng.integers(2, 7))
+            cands = [_random_sentence(rng, 0, 7) for _ in range(size)]
+            refs = [[_random_sentence(rng, 1, 7) for _ in range(int(rng.integers(1, 5)))]
+                    for _ in range(size)]
+            shapes["single"] += size == 1
+            shapes["empty"] += any(not c for c in cands)
+            shapes["short"] += any(0 < len(c) < 4 for c in cands)
+            assert repr(evaluate_corpus(cands, refs)) == \
+                repr(_recount_evaluate_corpus(cands, refs))
+            assert repr(cider(cands, refs)) == repr(_recount_cider(cands, refs))
+        assert min(shapes["single"], shapes["empty"], shapes["short"]) >= 100

@@ -2,15 +2,18 @@
 encode, one tape swept twice), the epoch loop, evaluation, and the variance
 analysis."""
 
+import re
+
 import numpy as np
 import pytest
 
 import mcvqg.train as mtrain
 from mcvqg.autodiff import Tape
-from mcvqg.config import RunConfig, config_from_dict
+from mcvqg.config import DECISION_MODES, RunConfig, config_from_dict
 from mcvqg.data import EOS, synth_generate
 from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
-                           gen_loss, mumc_refine, targets_and_mask)
+                           gen_loss, generate_greedy, mumc_refine, targets_and_mask)
+from mcvqg.metrics import evaluate_corpus
 from mcvqg.model import MultiCueModel, make_batch
 from mcvqg.nn import load_checkpoint, restore_params
 from mcvqg.rng import RngStream
@@ -459,10 +462,87 @@ class TestEvaluateModel:
         with pytest.raises(ValueError):
             evaluate_model(model, DS, [], cfg=cfg)
 
+    def test_unknown_decision_mode_rejected(self):
+        cfg = tiny_config()
+        model = build_model(cfg, DS)
+        match = re.escape(str(DECISION_MODES))
+        with pytest.raises(ValueError, match=match):
+            evaluate_model(model, DS, [0], cfg=cfg, decision_mode="greedy")
+
+    def test_unknown_decision_mode_rejected_with_a_stream(self):
+        cfg = tiny_config()
+        model = build_model(cfg, DS)
+        match = re.escape(str(DECISION_MODES))
+        with pytest.raises(ValueError, match=match):
+            evaluate_model(model, DS, [0], cfg=cfg, decision_mode="greedy",
+                           rng=RngStream(2).child("eval"))
+
     def test_tokens_to_words_cuts_at_eos(self):
         words = tokens_to_words([4, 5, EOS, 6], DS.vocab)
         assert words == [DS.vocab.token(4), DS.vocab.token(5)]
         assert tokens_to_words([EOS], DS.vocab) == []
+
+
+def _scrambled_model(cfg, seed=7, examples=12):
+    """An untrained model on a dataset with captions cut to random lengths
+    in 1..7, its parameters scaled up and EOS favoured so that greedy
+    questions differ between examples and end at different steps."""
+    ds = synth_generate(examples, seed, image_dim=IMAGE_DIM, place_dim=PLACE_DIM)
+    cut = RngStream(seed).child("ragged").integers(1, 8, examples)
+    for bundle, n in zip(ds.bundles, cut):
+        bundle.caption = bundle.caption[:int(n)]
+    model = build_model(cfg, ds)
+    for p in model.named_params().values():
+        p.data *= 3.0
+    model.decoder.b_out.data[EOS] += 0.7
+    return model, ds
+
+
+def _assert_batch1_equal(model, ds, indices, cfg):
+    """Deterministic evaluation against its batch-1 oracle: one encode and
+    one greedy decode per example. Tokens and the report are equal, the
+    uncertainty floats within 1e-12 relative."""
+    report, records = evaluate_model(model, ds, indices, cfg=cfg,
+                                     decision_mode="deterministic")
+    oracle = []
+    for idx in indices:
+        enc = model.encode(make_batch(ds, [idx]))
+        sample, = generate_greedy(model.decoder, enc.g_enc, cfg.max_len)
+        oracle.append(sample)
+    assert [r["id"] for r in records] == [ds.bundles[i].id for i in indices]
+    for rec, ref in zip(records, oracle):
+        assert rec["tokens"] == ref.tokens
+        for key in ("aleatoric", "predictive"):
+            assert abs(rec[key] - ref.predictive_uncertainty) <= \
+                1e-12 * abs(ref.predictive_uncertainty)
+    words = [tokens_to_words(s.tokens, ds.vocab) for s in oracle]
+    refs = [[tokens_to_words(q, ds.vocab) for q in ds.bundles[i].questions]
+            for i in indices]
+    assert repr(report) == repr(evaluate_corpus(words, refs))
+    return records
+
+
+class TestBatchedDeterministicEval:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"cues": ["image", "place", "caption", "tag"], "combiner": "mixture"},
+        {"cues": ["caption"]},
+    ], ids=["ragged-moderator", "mixture", "single-caption"])
+    def test_matches_batch1_decodes(self, overrides):
+        cfg = tiny_config(**overrides)
+        model, ds = _scrambled_model(cfg)
+        records = _assert_batch1_equal(model, ds, range(12), cfg)
+        assert len({tuple(r["tokens"]) for r in records}) > 1
+        assert len({len(r["tokens"]) for r in records}) > 1
+
+    def test_chunks_and_index_order(self, monkeypatch):
+        monkeypatch.setattr(mtrain, "EVAL_CHUNK", 3)
+        cfg = tiny_config()
+        model, ds = _scrambled_model(cfg)
+        indices = [7, 2, 9, 2, 0, 5, 11, 7]
+        records = _assert_batch1_equal(model, ds, indices, cfg)
+        assert records[1]["tokens"] == records[3]["tokens"]
+        assert records[0]["tokens"] == records[7]["tokens"]
 
 
 class TestVarianceRecords:

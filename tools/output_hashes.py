@@ -9,6 +9,9 @@ For every seed and config it prints one line per output:
             freshly built model and the dataset's first batch;
 - train:    `train_model`'s curve, best epoch and parameter bytes;
 - det_eval: deterministic `evaluate_model` records and report;
+- det_tokens: the same records' ids, tokens and words with the report,
+            without the uncertainty floats, so a change that moves only
+            those floats can show that the rest stayed bitwise;
 - mc_eval:  MC `evaluate_model` records and report;
 - variance: `variance_records` (MC mean, reference and normalized variance).
 
@@ -131,6 +134,9 @@ def hashes(name: str, seed: int, epochs: int):
     det = mtrain.evaluate_model(result.model, ds, EVAL_INDICES, cfg=cfg,
                                 decision_mode="deterministic")
     out.append(("det_eval", digest(det)))
+    report, records = det
+    out.append(("det_tokens", digest([report, [[r["id"], r["tokens"], r["words"]]
+                                               for r in records]])))
     mc = mtrain.evaluate_model(result.model, ds, MC_INDICES, cfg=cfg, decision_mode="mc")
     out.append(("mc_eval", digest(mc)))
     var = mtrain.variance_records(result.model, ds, MC_INDICES, T=cfg.eval_mc_samples,
