@@ -2,9 +2,9 @@
 
 Shape discipline is strict: binary elementwise ops demand identical shapes
 and the only implicit broadcast is scalar * tensor (`scale`). Batched
-variants (`affine` with a row bias, `row_softmax`, `lrt_sample`, ...) are
-separate named operations so that shape bugs surface as errors instead of
-silent broadcasting. Values are not checked for finiteness here: inputs
+variants (`affine` with a row bias, `row_softmax`, `masked_step_sum`, ...)
+are separate named operations so that shape bugs surface as errors instead
+of silent broadcasting. Values are not checked for finiteness here: inputs
 are checked where they enter (`load_dataset`, `load_checkpoint`) and
 computed losses and gradients where they would be applied (`train_model`).
 
@@ -14,10 +14,10 @@ gradients of the tape's node outputs, so an interior gradient holds the
 latest sweep while leaves go on accumulating: the MUMC step reads d(loss)/
 d(mixed encoding) off an interior node, extends the tape and sweeps again.
 
-Most ops record one node per output tensor. A fused op may record one node
-for several outputs: `lstm_step` returns (h', c') as a single two-output
-node whose hand-written backward takes both output gradients at once. Such
-a node counts as one in `len(tape)`.
+Most ops record one node per output tensor. A fused op replaces a chain
+with one node and a hand-written backward: `lrt_log_likelihood` scores a
+whole noise slab, and `lstm_step` returns (h', c') as one two-output node
+whose backward takes both output gradients. It counts as one in `len(tape)`.
 """
 
 import threading
@@ -431,27 +431,6 @@ def row_logsumexp(x: Tensor) -> Tensor:
     return _make(m + np.log(s), (x,), backward_fn)
 
 
-def log_mean_exp_rows(x: Tensor) -> Tensor:
-    """Column-wise log((1/T) sum_t exp(x[t, :])) for a (T, B) matrix -> (B,).
-
-    Computed as m + log(s/T) so that T identical rows give back the row
-    bitwise (s/T == 1.0 exactly, log(1.0) == 0.0) — the zero-variance
-    degeneracy of the MC-averaged likelihood is then exact.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"log_mean_exp_rows: need 2-D input, got {x.data.shape}")
-    reps = x.data.shape[0]
-    m = x.data.max(axis=0)
-    e = np.exp(x.data - m[None, :])
-    s = e.sum(axis=0)
-    w = e / s[None, :]
-
-    def backward_fn(g):
-        _accum(x, w * g[None, :])
-
-    return _make(m + np.log(s / reps), (x,), backward_fn)
-
-
 def masked_step_sum(x: Tensor, mask) -> Tensor:
     """Masked sum of a time-major (L*B,) vector under a (B, L) 0/1 mask,
     where x[t*B + b] is step t of row b and is weighted by mask[b, t].
@@ -471,33 +450,54 @@ def masked_step_sum(x: Tensor, mask) -> Tensor:
     return _make(np.cumsum(steps)[-1], (x,), backward_fn)
 
 
-def lrt_sample(y: Tensor, v: Tensor, eps) -> Tensor:
-    """Logit reparameterization of T noise draws: tile(y) + eps * tile(sqrt(v)).
+def lrt_log_likelihood(y: Tensor, v: Tensor, eps, targets) -> Tensor:
+    """log((1/T) sum_s softmax(y + eps[s] * sqrt(v))[target]) per row as one
+    tape node: y, v are (N, V) logits and variances, eps (T, N, V), targets (N,).
 
-    y and v are (N, V) logits and variances; eps is (T*N, V) and row
-    s*N + n of the result is draw s of row n. One tape node: the backward
-    holds only y's and v's data, sqrt(v) and eps. The square root's
-    derivative is infinite at v = 0, so differentiable variances must stay
-    strictly positive (a softplus upstream does).
+    The draws' softmax is built in their own buffer, and the backward keeps
+    eps, sqrt(v), the softmax and the average's weights. The average is
+    m + log(s/T), so T identical draws give the draw back bitwise (v = 0 is
+    the plain log-likelihood). d sqrt(v) is infinite at v = 0, so keep
+    differentiable variances positive (a softplus upstream does).
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    _check_same_shape("lrt_sample", y, v)
-    rows, cols = y.data.shape if y.data.ndim == 2 else (0, -1)
-    if (rows == 0 or eps.ndim != 2 or eps.shape[1] != cols or not eps.shape[0]
-            or eps.shape[0] % rows):
-        raise ShapeError(f"lrt_sample: eps {eps.shape} is not a stack of logits "
-                         f"{y.data.shape}")
+    eps = np.ascontiguousarray(eps, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    _check_same_shape("lrt_log_likelihood", y, v)
+    rows = targets.shape[0] if targets.ndim == 1 else -1
+    if (y.data.ndim != 2 or y.data.shape[0] != rows or not y.data.size
+            or eps.ndim != 3 or not eps.shape[0] or eps.shape[1:] != y.data.shape):
+        raise ShapeError(f"lrt_log_likelihood: logits {y.data.shape}, eps {eps.shape}, "
+                         f"targets {targets.shape}")
     if np.any(v.data < 0):
-        raise ValueError("lrt_sample: variances must be nonnegative")
-    reps = eps.shape[0] // rows
+        raise ValueError("lrt_log_likelihood: variances must be nonnegative")
+    reps = eps.shape[0]
     r = np.sqrt(v.data)
+    idx = np.arange(rows)
+    p = eps * r
+    p += y.data                    # draw s of row n: y[n] + eps[s, n] * r[n]
+    lp = p[:, idx, targets].copy()   # C order: the average sums axis 0 row by row
+    flat = p.reshape(-1, p.shape[2])
+    m = flat.max(axis=1)
+    flat -= m[:, None]
+    np.exp(flat, out=flat)
+    s = flat.sum(axis=1)
+    flat /= s[:, None]             # p is now each draw's softmax
+    lp -= (m + np.log(s)).reshape(reps, rows)
+    top = lp.max(axis=0)
+    e = np.exp(lp - top[None, :])
+    total = e.sum(axis=0)
+    w = e / total[None, :]
 
     def backward_fn(g):
-        _accum(y, g.reshape(reps, rows, cols).sum(axis=0))
-        _accum(v, (g * eps).reshape(reps, rows, cols).sum(axis=0) * 0.5 / r)
+        g_lp = w * g[None, :]
+        g_draws = p * (-g_lp)[:, :, None]
+        g_draws += 0.0             # -0.0 to +0.0, as adding a zero buffer does
+        g_draws[:, idx, targets] += g_lp
+        _accum(y, g_draws.sum(axis=0))
+        g_draws *= eps
+        _accum(v, g_draws.sum(axis=0) * 0.5 / r)
 
-    return _make(np.tile(y.data, (reps, 1)) + eps * np.tile(r, (reps, 1)), (y, v),
-                 backward_fn)
+    return _make(top + np.log(total / reps), (y, v), backward_fn)
 
 
 # ---------------------------------------------------------------------------

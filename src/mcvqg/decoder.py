@@ -139,18 +139,14 @@ def _neg_masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:
     return ad.scale(ad.masked_step_sum(values, mask), -1.0 / count)
 
 
-def _log_likelihoods(y: Tensor, targets) -> Tensor:
-    """log softmax(y)[target] for every row of y."""
-    return ad.sub(ad.gather_cols(y, targets), ad.row_logsumexp(y))
-
-
 def gen_loss(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood per unmasked token (nats/token).
 
     logits is time-major ((L-1)*B, V), row t*B + b scoring targets[b, t],
     as decode_teacher_forced returns it; targets and mask are (B, L-1).
     """
-    return _neg_masked_mean(_log_likelihoods(logits, targets.T.reshape(-1)), mask)
+    ids = targets.T.reshape(-1)
+    return _neg_masked_mean(ad.sub(ad.gather_cols(logits, ids), ad.row_logsumexp(logits)), mask)
 
 
 def aleatoric_mc_loss(logits: Tensor, variances: Tensor, targets: np.ndarray,
@@ -159,21 +155,21 @@ def aleatoric_mc_loss(logits: Tensor, variances: Tensor, targets: np.ndarray,
 
     logits and variances are time-major ((L-1)*B, V), row t*B + b for step
     t of example b, as decode_teacher_forced returns them. Step t draws its
-    (T*B, V) noise from rng.child(("eps", t)); its row s*B + b perturbs
-    row s*(L-1)*B + t*B + b of the T stacked copies of the logits. The MC
-    average is a log-mean-exp, so v == 0 reproduces gen_loss exactly
-    (identical rows collapse without rounding).
+    (T*B, V) noise from rng.child(("eps", t)); its row s*B + b is draw s
+    of logits row t*B + b. One `lrt_log_likelihood` node scores every draw
+    and averages with a log-mean-exp, so v == 0 reproduces gen_loss exactly
+    (identical draws collapse without rounding).
     """
     if T < 1:
         raise ValueError(f"aleatoric loss needs T >= 1, got {T}")
     batch, steps = targets.shape
-    vocab = logits.data.shape[1]
+    vocab = logits.data.shape[-1]
     eps = np.empty((T, steps, batch, vocab))
     for t in range(steps):
         eps[:, t] = rng.child(("eps", t)).normal((T * batch, vocab)).reshape(T, batch, vocab)
-    y_hat = ad.lrt_sample(logits, variances, eps.reshape(T * steps * batch, vocab))
-    lp = _log_likelihoods(y_hat, np.tile(targets.T.reshape(-1), T))
-    return _neg_masked_mean(ad.log_mean_exp_rows(ad.reshape(lp, (T, steps * batch))), mask)
+    eps = eps.reshape(T, steps * batch, vocab)
+    return _neg_masked_mean(ad.lrt_log_likelihood(logits, variances, eps, targets.T.reshape(-1)),
+                            mask)
 
 
 def distorted_loss(l_plain: Tensor, l_aleatoric: Tensor, alpha: float = 1.0) -> Tensor:

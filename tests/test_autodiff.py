@@ -4,6 +4,8 @@ are checked against numpy references."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mcvqg.autodiff as ad
 from mcvqg.autodiff import ShapeError, Tape, Tensor
@@ -110,9 +112,10 @@ class TestForwardValues:
             assert ad._sigmoid(x).tobytes() == two_branch(x).tobytes()
 
     def test_sqrt_domain(self):
-        # the square root of the variances lives in lrt_sample
+        # the square root of the variances lives in lrt_log_likelihood
         with pytest.raises(ValueError, match="nonnegative"):
-            ad.lrt_sample(Tensor([[0.0]]), Tensor([[-1.0]]), np.zeros((1, 1)))
+            ad.lrt_log_likelihood(Tensor([[0.0]]), Tensor([[-1.0]]), np.zeros((1, 1, 1)),
+                                  [0])
 
 
 def _np_softmax(x):
@@ -423,19 +426,30 @@ class TestStructuralOps:
         assert np.allclose(s.grad, fd_grad(value, s.data), rtol=1e-6, atol=1e-8)
 
     def test_log_mean_exp_rows_value_and_grad(self):
+        # the MC average of lrt_log_likelihood: log of the mean over draws
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        out = ad.log_mean_exp_rows(x)
-        assert np.allclose(out.data, np.log(np.exp(x.data).mean(axis=0)), rtol=1e-12)
-        run_backward(lambda: total(ad.log_mean_exp_rows(x)))
-        g = fd_grad(lambda: np.log(np.exp(x.data).mean(axis=0)).sum(), x.data)
-        assert np.allclose(x.grad, g, rtol=1e-5, atol=1e-8)
+        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        v = Tensor(rng.uniform(0.1, 2.0, (3, 4)), requires_grad=True)
+        eps, targets = rng.normal(size=(5, 3, 4)), np.array([2, 0, 3])
+
+        def value():
+            draws = y.data + eps * np.sqrt(v.data)
+            p = np.exp(draws) / np.exp(draws).sum(axis=2, keepdims=True)
+            return np.log(p[:, np.arange(3), targets].mean(axis=0))
+
+        out = ad.lrt_log_likelihood(y, v, eps, targets)
+        assert np.allclose(out.data, value(), rtol=1e-12)
+        run_backward(lambda: total(ad.lrt_log_likelihood(y, v, eps, targets)))
+        assert np.allclose(y.grad, fd_grad(lambda: value().sum(), y.data), rtol=1e-5, atol=1e-8)
+        assert np.allclose(v.grad, fd_grad(lambda: value().sum(), v.data), rtol=1e-5, atol=1e-8)
 
     def test_log_mean_exp_identical_rows_exact(self):
-        row = np.array([-1.3862943611198906, 0.1234567890123456, 7.77])
-        x = Tensor(np.tile(row, (20, 1)))
-        out = ad.log_mean_exp_rows(x)
-        assert np.array_equal(out.data, row)
+        # zero variance: 20 identical draws average back to the draw
+        y = Tensor(np.array([[-1.3862943611198906, 0.1234567890123456, 7.77]]))
+        v = Tensor(np.zeros(y.shape))
+        eps = np.random.default_rng(8).normal(size=(20, 1, 3))
+        one = ad.lrt_log_likelihood(y, v, eps[:1], [1])
+        assert ad.lrt_log_likelihood(y, v, eps, [1]).data.tobytes() == one.data.tobytes()
 
     def test_concat_rows_and_cols(self):
         rng = np.random.default_rng(9)
@@ -495,51 +509,135 @@ class TestMaskedStepSum:
             ad.masked_step_sum(Tensor(np.zeros(6)), np.ones(6))
 
 
-class TestLrtSample:
+def _old_lrt_sample(y, v, eps):
+    """tile(y) + eps * tile(sqrt(v)) over (T*N, V) noise: the reparameterization
+    op the aleatoric loss used before its likelihood became one node."""
+    reps, rows, cols = eps.shape[0] // y.data.shape[0], *y.data.shape
+    r = np.sqrt(v.data)
+
+    def backward_fn(g):
+        ad._accum(y, g.reshape(reps, rows, cols).sum(axis=0))
+        ad._accum(v, (g * eps).reshape(reps, rows, cols).sum(axis=0) * 0.5 / r)
+
+    return ad._make(np.tile(y.data, (reps, 1)) + eps * np.tile(r, (reps, 1)), (y, v),
+                    backward_fn)
+
+
+def _old_log_mean_exp_rows(x):
+    """Column-wise log((1/T) sum_t exp(x[t, :])) of a (T, N) tensor."""
+    reps = x.data.shape[0]
+    m = x.data.max(axis=0)
+    e = np.exp(x.data - m[None, :])
+    s = e.sum(axis=0)
+    w = e / s[None, :]
+
+    def backward_fn(g):
+        ad._accum(x, w * g[None, :])
+
+    return ad._make(m + np.log(s / reps), (x,), backward_fn)
+
+
+def _old_lrt_log_likelihood(y, v, eps, targets):
+    """The six-node chain `lrt_log_likelihood` replaced."""
+    reps, rows, cols = eps.shape
+    y_hat = _old_lrt_sample(y, v, eps.reshape(reps * rows, cols))
+    lp = ad.sub(ad.gather_cols(y_hat, np.tile(targets, reps)), ad.row_logsumexp(y_hat))
+    return _old_log_mean_exp_rows(ad.reshape(lp, (reps, rows)))
+
+
+class TestLrtLogLikelihood:
     def _inputs(self, seed=12, rows=3, cols=4, reps=5):
         rng = np.random.default_rng(seed)
         y = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
         v = Tensor(rng.uniform(0.1, 2.0, (rows, cols)), requires_grad=True)
-        return y, v, rng.normal(size=(reps * rows, cols))
+        return y, v, rng.normal(size=(reps, rows, cols)), rng.integers(0, cols, rows)
 
-    def test_values_bitwise_equal_to_tiled_formula(self):
-        y, v, eps = self._inputs()
-        ref = np.tile(y.data, (5, 1)) + eps * np.tile(np.sqrt(v.data), (5, 1))
-        assert ad.lrt_sample(y, v, eps).data.tobytes() == ref.tobytes()
+    @settings(max_examples=60, deadline=None)
+    @given(reps=st.integers(1, 20), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           steps=st.integers(1, 6), vocab=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           prefill=st.booleans(), sign=st.sampled_from([1.0, -1.0]))
+    @example(reps=1, lengths=[1], steps=1, vocab=2, seed=0, prefill=False,
+             sign=-1.0).via("T = B = 1")
+    @example(reps=20, lengths=[2], steps=6, vocab=12, seed=1, prefill=False,
+             sign=1.0).via("PAD tail, +0.0 upstream")
+    @example(reps=3, lengths=[1, 3, 2], steps=5, vocab=7, seed=2, prefill=True,
+             sign=-1.0).via("ragged, gradients filled before the sweep")
+    def test_bitwise_equal_to_the_old_chain(self, reps, lengths, steps, vocab, seed, prefill,
+                                            sign):
+        # row lengths in 1..steps; steps past every row's length are all PAD,
+        # where the upstream gradient is a zero whose sign follows the loss's
+        batch = len(lengths)
+        mask = (np.arange(steps)[None, :] < np.minimum(lengths, steps)[:, None]).astype(float)
+        rng = np.random.default_rng(seed)
+        rows = steps * batch
+        y0 = rng.normal(size=(rows, vocab)) * rng.uniform(0.1, 10.0)
+        v0 = rng.uniform(0.0, 3.0, (rows, vocab))
+        eps = rng.normal(size=(reps, rows, vocab))
+        targets = rng.integers(0, vocab, rows)
+        filled = [rng.normal(size=(rows, vocab)) for _ in range(2)]
+        results = []
+        for op in (_old_lrt_log_likelihood, ad.lrt_log_likelihood):
+            y, v = Tensor(y0, requires_grad=True), Tensor(v0, requires_grad=True)
+            if prefill:
+                y.grad, v.grad = filled[0].copy(), filled[1].copy()
+            with Tape() as tape:
+                values = op(y, v, eps, targets)
+                loss = ad.scale(ad.masked_step_sum(values, mask), sign / mask.sum())
+            tape.backward(loss)
+            results.append([values.data.tobytes(), y.grad.tobytes(), v.grad.tobytes()])
+        assert results[0] == results[1]
 
-    def test_zero_variance_returns_tiled_logits(self):
-        y, _, eps = self._inputs()
-        out = ad.lrt_sample(y, Tensor(np.zeros(y.shape)), eps)
-        assert out.data.tobytes() == np.tile(y.data, (5, 1)).tobytes()
+    def test_zero_variance_is_the_plain_log_likelihood(self):
+        y, _, eps, targets = self._inputs()
+        out = ad.lrt_log_likelihood(y, Tensor(np.zeros(y.shape)), eps, targets)
+        plain = ad.sub(ad.gather_cols(y, targets), ad.row_logsumexp(y))
+        assert out.data.tobytes() == plain.data.tobytes()
 
     def test_grad_check(self):
-        y, v, eps = self._inputs()
-        w = np.random.default_rng(13).normal(size=eps.shape)
+        mask = np.array([[1, 1, 0], [1, 1, 1]], dtype=float)
+        for reps in (1, 3):
+            y, v, eps, targets = self._inputs(rows=6, reps=reps)
 
-        def f():
-            return total(ad.tanh(ad.mul(ad.lrt_sample(y, v, eps), Tensor(w))))
+            def f():
+                return ad.masked_step_sum(ad.lrt_log_likelihood(y, v, eps, targets), mask)
 
-        assert ad.grad_check(f, [y, v]) <= 1e-6
+            assert ad.grad_check(f, [y, v]) <= 1e-6
+
+    def test_second_sweep_repeats_the_gradients(self):
+        y, v, eps, targets = self._inputs()
+        with Tape() as tape:
+            loss = total(ad.lrt_log_likelihood(y, v, eps, targets))
+        tape.backward(loss)
+        first = y.grad.copy(), v.grad.copy()
+        y.zero_grad(), v.zero_grad()
+        tape.backward(loss)
+        assert y.grad.tobytes() == first[0].tobytes()
+        assert v.grad.tobytes() == first[1].tobytes()
 
     def test_one_tape_node(self):
-        y, v, eps = self._inputs()
+        y, v, eps, targets = self._inputs()
         with Tape() as tape:
-            ad.lrt_sample(y, v, eps)
+            ad.lrt_log_likelihood(y, v, eps, targets)
         assert len(tape) == 1
 
     def test_errors(self):
-        y, v, eps = self._inputs()
-        for bad in (eps[:-1], eps[:, :-1], eps.reshape(-1), np.zeros((0, 4))):
+        y, v, eps, targets = self._inputs()
+        for bad in (eps[:, :-1], eps[:, :, :-1], eps.reshape(-1, 4), eps[:0],
+                    np.concatenate([eps, eps], axis=1)):
             with pytest.raises(ShapeError):
-                ad.lrt_sample(y, v, bad)
+                ad.lrt_log_likelihood(y, v, bad, targets)
         with pytest.raises(ShapeError):
-            ad.lrt_sample(y, Tensor(np.ones((3, 3))), eps)
+            ad.lrt_log_likelihood(y, Tensor(np.ones((3, 3))), eps, targets)
+        for bad in (targets[:-1], np.tile(targets, 2), targets[None, :]):
+            with pytest.raises(ShapeError):
+                ad.lrt_log_likelihood(y, v, eps, bad)
         with pytest.raises(ShapeError):
-            ad.lrt_sample(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), eps)
+            ad.lrt_log_likelihood(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))),
+                                  np.zeros((5, 0, 4)), [])
         negative = v.data.copy()
         negative[1, 2] = -1e-12
         with pytest.raises(ValueError, match="nonnegative"):
-            ad.lrt_sample(y, Tensor(negative), eps)
+            ad.lrt_log_likelihood(y, Tensor(negative), eps, targets)
 
 
 class TestDropout:

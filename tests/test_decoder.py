@@ -207,14 +207,44 @@ class TestGenerationLoss:
 
 class TestAleatoricLoss:
     def test_lrt_sample_formula(self):
+        # one draw: y + eps * sqrt(v) = [1.5, 0.0], scored at column 0
         y = Tensor(np.array([[1.0, 2.0]]))
         variance = Tensor(np.array([[0.25, 4.0]]))     # sigma = 0.5, 2.0
-        eps = np.array([[1.0, -1.0]])
-        np.testing.assert_array_equal(ad.lrt_sample(y, variance, eps).data, [[1.5, 0.0]])
+        eps = np.array([[[1.0, -1.0]]])
+        got = ad.lrt_log_likelihood(y, variance, eps, [0]).item()
+        assert got == 1.5 - (1.5 + np.log(np.exp(0.0) + np.exp(-1.5)))
 
     def test_lrt_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.lrt_sample(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), np.zeros((3, 3)))
+            ad.lrt_log_likelihood(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                                  np.zeros((1, 3, 3)), [0, 0])
+        targets, mask = targets_and_mask(_gold())
+        rows = targets.size
+        good = Tensor(np.zeros((rows, VOCAB)))
+        for logits, variances in ((good, Tensor(np.zeros((rows, VOCAB + 1)))),
+                                  (Tensor(np.zeros((rows, VOCAB, 1))), good),
+                                  (Tensor(np.zeros(rows * VOCAB)), good)):
+            with pytest.raises(ShapeError):
+                aleatoric_mc_loss(logits, variances, targets, mask, T=2, rng=RngStream(1))
+
+    def test_rejects_logits_for_twice_the_rows(self):
+        # 2*(L-1)*B rows at T = 4: a row count that divides the noise rows
+        targets, mask = targets_and_mask(_gold())
+        logits = _stacked([RngStream(21).child(t).normal((6, VOCAB))
+                           for t in range(targets.shape[1])])
+        with pytest.raises(ShapeError):
+            gen_loss(logits, targets, mask)
+        with pytest.raises(ShapeError):
+            aleatoric_mc_loss(logits, Tensor(np.ones(logits.shape)), targets, mask, T=4,
+                              rng=RngStream(5))
+
+    def test_rejects_logits_for_more_steps_than_targets(self):
+        targets, mask = targets_and_mask(_gold())
+        logits = _stacked([RngStream(21).child(t).normal((3, VOCAB))
+                           for t in range(targets.shape[1] + 1)])
+        with pytest.raises(ShapeError):
+            aleatoric_mc_loss(logits, Tensor(np.ones(logits.shape)), targets[:, :-1],
+                              mask[:, :-1], T=4, rng=RngStream(5))
 
     def test_zero_variance_equals_plain_loss_bitwise(self):
         targets, mask = targets_and_mask(_gold())
@@ -280,7 +310,7 @@ class TestAleatoricLoss:
                 gen_loss(logits, targets, mask)
                 aleatoric_mc_loss(logits, variances, targets, mask, T=3, rng=RngStream(5))
             counts.add(len(tape) - decode_nodes)
-        assert counts == {13}
+        assert counts == {8}     # gen_loss 5; lrt_log_likelihood, masked_step_sum, scale
 
 
 class TestDistortedLoss:
@@ -409,6 +439,18 @@ class TestEndToEndGradients:
                                      rng=RngStream(77))
 
         assert grad_check(f, params) <= 1e-6
+
+    def test_aleatoric_loss_grad_check_with_ragged_mask(self):
+        targets, mask = targets_and_mask(_gold())
+        draw = RngStream(41)
+        logits = Tensor(draw.child("y").normal((targets.size, VOCAB)), requires_grad=True)
+        pre_v = Tensor(draw.child("v").normal((targets.size, VOCAB)), requires_grad=True)
+        for T in (1, 3):
+            def f():
+                return aleatoric_mc_loss(logits, ad.softplus(pre_v), targets, mask, T=T,
+                                         rng=RngStream(6))
+
+            assert grad_check(f, [logits, pre_v]) <= 1e-6
 
     def test_uncertainty_gradient_lands_on_encoding(self):
         dec = _decoder(p=0.0, seed=7)

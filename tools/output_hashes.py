@@ -1,7 +1,7 @@
 """Print SHA-256 hashes of mcvqg's training and inference outputs.
 
     PYTHONPATH=src python tools/output_hashes.py SEED [SEED ...]
-        [--epochs N] [--configs NAME ...]
+        [--epochs N] [--configs NAME ...] [--against REV]
 
 For every seed and config it prints one line per output:
 
@@ -16,7 +16,14 @@ For every seed and config it prints one line per output:
 - variance: `variance_records` (MC mean, reference and normalized variance).
 
 A refactor that claims bitwise-unchanged outputs runs this at the parent
-revision and at the change and compares the lines. The first three configs
+revision and at the change and compares the lines, in one command:
+
+    PYTHONPATH=src python tools/output_hashes.py SEED [SEED ...] --against REV
+
+extracts REV with `git archive` into a temporary directory, runs this tool
+with the same arguments in that tree and in this checkout (each in a
+subprocess with its own tree's `src/` first on PYTHONPATH), prints the
+lines that differ and exits 1 if any do. The first three configs
 copy the model shapes of `perfbench/workloads.py` (copied, so a change to
 the benchmark does not move these hashes). The `ragged-*` configs cut every
 caption to a random length in 1..7, so padded caption rows are exercised,
@@ -30,6 +37,10 @@ compared against.
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 
@@ -145,15 +156,56 @@ def hashes(name: str, seed: int, epochs: int):
     return out
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def hashes_at(rev, argv):
+    """The lines this tool prints for `argv` at git revision `rev`, or in
+    this checkout when `rev` is None."""
+    if rev is None:
+        return _run_tree(ROOT, argv)
+    with tempfile.TemporaryDirectory(prefix="output-hashes-") as tree:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        return _run_tree(tree, argv)
+
+
+def _run_tree(tree, argv):
+    path = [os.path.join(tree, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, os.path.join(tree, "tools", "output_hashes.py"),
+                           *argv], cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return proc.stdout.splitlines()
+
+
+def against(rev, argv) -> int:
+    """Print the lines that differ between `rev` (-) and this checkout (+);
+    1 if any do."""
+    parent, change = hashes_at(rev, argv), hashes_at(None, argv)
+    common = set(parent) & set(change)
+    differ = ([f"- {line}" for line in parent if line not in common]
+              + [f"+ {line}" for line in change if line not in common])
+    for line in differ:
+        print(line)
+    print(f"{len(common)} lines identical, {len(differ)} differ ({rev} -> this checkout)")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="+", type=int)
     parser.add_argument("--epochs", type=int, default=2)
-    parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS),
-                        default=list(CONFIGS))
+    parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS))
+    parser.add_argument("--against", metavar="REV")
     args = parser.parse_args(argv)
+    if args.against:
+        forward = [*map(str, args.seeds), "--epochs", str(args.epochs)]
+        return against(args.against, forward + (["--configs", *args.configs]
+                                                 if args.configs else []))
     for seed in args.seeds:
-        for name in args.configs:
+        for name in args.configs or CONFIGS:
             for output, sha in hashes(name, seed, args.epochs):
                 print(f"seed={seed} config={name} {output} {sha}", flush=True)
     return 0
