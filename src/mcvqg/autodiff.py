@@ -343,14 +343,20 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(x.data.reshape(shape), (x,), backward_fn)
 
 
+def _check_ids(op: str, ids: np.ndarray, count: int, what: str):
+    """Raise IndexError unless every id is in [0, count): numpy would wrap a
+    negative id to an entry from the end."""
+    if ids.size and (ids.min() < 0 or ids.max() >= count):
+        raise IndexError(f"{op}: id out of range for {count} {what}")
+
+
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Select rows of a (V, n) table by integer id: an embedding lookup, or
     each row's state at its own length from time-stacked states."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2 or ids.ndim != 1:
         raise ShapeError(f"gather_rows: table {table.data.shape}, ids {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"gather_rows: id out of range for table of {table.data.shape[0]} rows")
+    _check_ids("gather_rows", ids, table.data.shape[0], "rows")
 
     def backward_fn(g):
         if not table.requires_grad:
@@ -367,6 +373,7 @@ def gather_cols(x: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
         raise ShapeError(f"gather_cols: x {x.data.shape}, ids {ids.shape}")
+    _check_ids("gather_cols", ids, x.data.shape[1], "columns")
     rows = np.arange(x.data.shape[0])
 
     def backward_fn(g):
@@ -468,6 +475,7 @@ def lrt_log_likelihood(y: Tensor, v: Tensor, eps, targets) -> Tensor:
             or eps.ndim != 3 or not eps.shape[0] or eps.shape[1:] != y.data.shape):
         raise ShapeError(f"lrt_log_likelihood: logits {y.data.shape}, eps {eps.shape}, "
                          f"targets {targets.shape}")
+    _check_ids("lrt_log_likelihood", targets, y.data.shape[1], "columns")
     if np.any(v.data < 0):
         raise ValueError("lrt_log_likelihood: variances must be nonnegative")
     reps = eps.shape[0]

@@ -219,10 +219,14 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as e:
         raise CliError("MANIFEST_INVALID", f"manifest is not valid JSON: {e}") from e
     try:
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest must be a JSON object")
         if "base_config" in manifest:
             base = load_config(manifest["base_config"])
         else:
             base = config_from_dict(manifest.get("base", {}))
+        if args.dataset:
+            base.dataset = args.dataset
         axes = manifest.get("axes", {})
         if not isinstance(axes, dict) or not axes:
             raise ValueError("manifest needs a nonempty `axes` mapping")
@@ -239,7 +243,7 @@ def cmd_sweep(args) -> int:
                               for k, v in zip(keys, combo)))
     if len(set(names)) != len(names):
         raise CliError("MANIFEST_INVALID", "sweep axes produce duplicate runs")
-    dataset = _read_dataset(base.dataset or getattr(args, "dataset", ""))
+    dataset = _read_dataset(base.dataset)
     os.makedirs(args.out, exist_ok=True)
     summary = ["name," + ",".join(keys) +
                ",bleu1,bleu2,bleu3,bleu4,rouge_l,cider"]

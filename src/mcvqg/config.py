@@ -15,7 +15,7 @@ from .decoder import MumcConfig
 from .model import check_cue_set
 
 DROPOUT_KINDS = ("bernoulli", "gaussian")
-OPTIMIZERS = ("sgd", "adam")
+OPTIMIZERS = ("adam",)
 DECISION_MODES = ("deterministic", "mc")
 
 
@@ -27,7 +27,7 @@ class DropoutConfig:
 
 @dataclass
 class OptimizerConfig:
-    algorithm: str = "sgd"
+    algorithm: str = "adam"      # the one optimizer; configs may still name it
     learning_rate: float = 0.05
     epochs: int = 200
     batch_size: int = 16

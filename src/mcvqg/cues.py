@@ -14,25 +14,22 @@ CUE_NAMES = ("image", "place", "caption", "tag")
 
 
 def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.ndarray,
-                   lengths: np.ndarray = None, rng: RngStream = None) -> Tensor:
+                   lengths: np.ndarray, rng: RngStream = None) -> Tensor:
     """Hidden state of each caption at its true length; `ids` is (B, L) with
-    PAD right-padding and `lengths` the true lengths, each in [1, L] (all L
-    when omitted). Every row runs all L steps, and row b's state after step
-    lengths[b] - 1 is picked from the stacked per-step states, so padding
-    never reaches the encoding or its gradient."""
+    PAD right-padding and `lengths` the true lengths, each in [1, L]. Every
+    row runs all L steps, and row b's state after step lengths[b] - 1 is
+    picked from the stacked per-step states, so padding never reaches the
+    encoding or its gradient."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError(f"caption ids must be (B, L>=1), got {ids.shape}")
     batch, steps = ids.shape
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
-            raise ValueError(f"caption lengths must be {batch} values in [1, {steps}], "
-                             f"got {lengths.tolist()}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
+        raise ValueError(f"caption lengths must be {batch} values in [1, {steps}], "
+                         f"got {lengths.tolist()}")
     inputs = [embedding.lookup(ids[:, t]) for t in range(steps)]
-    states, final = cell.sequence(inputs, rng=rng)
-    if lengths is None:
-        return final
+    states, _ = cell.sequence(inputs, rng=rng)
     # state t of row b is row t*B + b of the stack
     return ad.gather_rows(ad.concat(states, axis=0), (lengths - 1) * batch + np.arange(batch))
 

@@ -51,20 +51,11 @@ DEFAULT_FEATURE_DIM = 32
 DEFAULT_NOISE = 0.1
 
 
-def default_lexicon() -> dict:
-    """word -> coarse POS over the closed corpus. Nouns and pronouns map to
-    "noun", verbs and adverbs to "verb", everything else to "other"."""
-    lex = {}
-    for w in SUBJECTS + OBJECTS + PLACES:
-        lex[w] = "noun"
-    for w in VERBS:
-        lex[w] = "verb"
-    for w in ATTRIBUTES + FUNCTION_WORDS + QUESTION_WORDS:
-        lex.setdefault(w, "other")
-    return lex
-
-
-LEXICON = default_lexicon()
+# word -> coarse POS over the closed corpus. Nouns and pronouns map to
+# "noun", verbs and adverbs to "verb", everything else to "other".
+LEXICON = {**{w: "other" for w in ATTRIBUTES + FUNCTION_WORDS + QUESTION_WORDS},
+           **{w: "noun" for w in SUBJECTS + OBJECTS + PLACES},
+           **{w: "verb" for w in VERBS}}
 
 
 class Vocabulary:
@@ -87,9 +78,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self._tokens)
-
-    def __contains__(self, tok):
-        return tok in self._ids
 
     def id(self, tok: str) -> int:
         return self._ids.get(tok, UNK)
@@ -171,15 +159,14 @@ def _pad_tags(ids) -> list:
     return (list(ids) + [PAD] * TAG_SLOTS)[:TAG_SLOTS]
 
 
-def extract_tags(caption_ids, vocab: Vocabulary, lexicon: dict = None,
-                 questions=None) -> TagSet:
-    """POS-split caption tokens into noun/verb tags (caption order, first
-    five) and take question tags from the leading words of the reference
-    questions when they are question words; all categories PAD-padded to 5."""
-    lexicon = lexicon if lexicon is not None else LEXICON
+def extract_tags(caption_ids, vocab: Vocabulary, questions=None) -> TagSet:
+    """POS-split caption tokens (by LEXICON) into noun/verb tags (caption
+    order, first five) and take question tags from the leading words of the
+    reference questions when they are question words; all categories
+    PAD-padded to 5."""
     nouns, verbs = [], []
     for tid in caption_ids:
-        pos = lexicon.get(vocab.token(tid))
+        pos = LEXICON.get(vocab.token(tid))
         if pos == "noun":
             nouns.append(tid)
         elif pos == "verb":
@@ -247,7 +234,7 @@ def synth_generate(n: int, seed: int, image_dim: int = DEFAULT_FEATURE_DIM,
         chosen = sorted(order[:questions_per])
         questions = [vocab.encode(render(QUESTION_TEMPLATES[k], scene)) + [EOS]
                      for k in chosen]
-        tags = extract_tags(caption, vocab, LEXICON, questions)
+        tags = extract_tags(caption, vocab, questions)
         bundles.append(CueBundle(
             id=f"ex{i:05d}",
             image_feat=image_feature(scene, image_dim, noise, r.child("img")),

@@ -61,9 +61,6 @@ class Decoder:
         self.w_var = init_matrix(hidden_dim, vocab_size, rng.child("w_var"))
         self.b_var = init_bias(vocab_size)
 
-    def project_encoding(self, g_enc: Tensor) -> Tensor:
-        return ad.affine(g_enc, self.in_proj_w, self.in_proj_b)
-
     def heads(self, h: Tensor):
         """(logits, aleatoric variance) for one hidden state."""
         y = ad.affine(h, self.w_out, self.b_out)
@@ -106,16 +103,16 @@ def targets_and_mask(gold: np.ndarray):
 
 
 def decode_teacher_forced(dec: Decoder, g_enc: Tensor, gold: np.ndarray,
-                          rng: RngStream = None, masks=None):
+                          masks=None):
     """Step -1 consumes the encoding, step t the embedding of gold[t]; the
     hidden state after gold[t] scores gold[t+1]. The heads run once per
-    step. Dropout masks are `masks` if given, else drawn from `rng`, else
-    off. Returns (logits, variances), each one time-major ((L-1)*B, V)
-    tensor: row t*B + b is step t of example b."""
+    step. Dropout applies the LSTM `masks` (from `dec.cell.sample_masks`),
+    and is off without them. Returns (logits, variances), each one
+    time-major ((L-1)*B, V) tensor: row t*B + b is step t of example b."""
     gold = check_gold(gold)
     batch, length = gold.shape
     if masks is None:
-        masks = dec.cell.sample_masks(batch, rng.child("cell") if rng else None)
+        masks = dec.cell.sample_masks(batch)
     h, c = _start(dec, g_enc, masks)
     logits, variances = [], []
     for t in range(length - 1):
@@ -233,7 +230,7 @@ class _Committee:
 def _start(dec: Decoder, g_enc: Tensor, masks):
     """The (h, c) state after step -1 has consumed the encoding."""
     h, c = dec.cell.initial_state(g_enc.data.shape[0])
-    return dec.cell.step(dec.project_encoding(g_enc), h, c, masks)
+    return dec.cell.step(ad.affine(g_enc, dec.in_proj_w, dec.in_proj_b), h, c, masks)
 
 
 def _decode_committees(dec: Decoder, state, masks, size: int,
@@ -276,17 +273,16 @@ def _question(com: _Committee) -> QuestionSample:
 
 
 def generate_greedy(dec: Decoder, g_enc: Tensor, max_len: int = 16,
-                    rng: RngStream = None, masks=None) -> list:
+                    masks=None) -> list:
     """Argmax decoding (ties resolve to the lowest token id) of every row of
     g_enc until its EOS or max_len tokens: the free-running decode of
     committees of one, all rows stepping as one batch. Returns one
-    QuestionSample per row, in row order. Given a stream and no masks, it
-    draws one mask set for the whole sequence, one mask row per encoding
-    row."""
+    QuestionSample per row, in row order. Dropout applies the LSTM `masks`,
+    one mask row per encoding row for the whole sequence, and is off
+    without them."""
     with ad.no_grad():
         if masks is None:
-            masks = dec.cell.sample_masks(g_enc.data.shape[0],
-                                          rng.child("cell") if rng else None)
+            masks = dec.cell.sample_masks(g_enc.data.shape[0])
         return [_question(com) for com in
                 _decode_committees(dec, _start(dec, g_enc, masks), masks, 1, max_len)]
 

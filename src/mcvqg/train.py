@@ -62,22 +62,7 @@ def build_model(cfg: RunConfig, dataset: Dataset, rng: RngStream = None) -> Mult
 
 
 # ---------------------------------------------------------------------------
-# optimizers
-
-class SgdOptimizer:
-    def __init__(self, params: dict, lr: float):
-        self.params = params
-        self.lr = float(lr)
-
-    def zero(self):
-        for t in self.params.values():
-            t.zero_grad()
-
-    def step(self):
-        for t in self.params.values():
-            if t.grad is not None:
-                t.data -= self.lr * t.grad
-
+# optimizer
 
 class AdamOptimizer:
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
@@ -105,12 +90,6 @@ class AdamOptimizer:
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def make_optimizer(cfg: RunConfig, params: dict):
-    if cfg.optimizer.algorithm == "adam":
-        return AdamOptimizer(params, cfg.optimizer.learning_rate)
-    return SgdOptimizer(params, cfg.optimizer.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +159,6 @@ class TrainResult:
     curve: list                 # per-epoch dict rows
     best_epoch: int
     best_val_loss: float
-    best_params: dict           # name -> ndarray snapshot at the best epoch
     train_indices: list
     val_indices: list
 
@@ -204,14 +182,14 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
     root = RngStream(cfg.seed)
     model = build_model(cfg, dataset, root.child("model"))
     params = model.named_params()
-    optimizer = make_optimizer(cfg, params)
+    optimizer = AdamOptimizer(params, cfg.optimizer.learning_rate)
     train_idx, val_idx = split_indices(len(dataset.bundles), cfg.val_fraction,
                                        root.child("split"))
     run_rng = root.child("train")
     curve = []
     best_val = np.inf
     best_epoch = -1
-    best_params = {k: t.data.copy() for k, t in params.items()}
+    snapshot = {k: t.data.copy() for k, t in params.items()}   # at the best epoch
     batch_size = cfg.optimizer.batch_size
     for epoch in range(cfg.optimizer.epochs):
         epoch_rng = run_rng.child(("epoch", epoch))
@@ -257,15 +235,15 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
         if row["val_loss"] < best_val:
             best_val = row["val_loss"]
             best_epoch = epoch
-            best_params = {k: t.data.copy() for k, t in params.items()}
+            snapshot = {k: t.data.copy() for k, t in params.items()}
         if log is not None:
             log(f"epoch {epoch}: train {row['train_loss']:.4f} "
                 f"val {row['val_loss']:.4f}")
     for name, t in params.items():
-        t.data = best_params[name].copy()
+        t.data = snapshot[name]
     return TrainResult(model=model, curve=curve, best_epoch=best_epoch,
-                       best_val_loss=best_val, best_params=best_params,
-                       train_indices=train_idx, val_indices=val_idx)
+                       best_val_loss=best_val, train_indices=train_idx,
+                       val_indices=val_idx)
 
 
 def curve_to_csv(curve) -> str:

@@ -404,6 +404,12 @@ class TestStructuralOps:
 
         assert np.allclose(got, fd_grad(value, x.data), rtol=1e-5, atol=1e-7)
 
+    def test_gather_cols_rejects_ids_out_of_range(self):
+        x = Tensor(np.zeros((2, 3)))
+        for ids in ([-1, -2], [0, 3]):
+            with pytest.raises(IndexError, match="gather_cols"):
+                ad.gather_cols(x, np.array(ids))
+
     def test_gather_rows_scatter_adds(self):
         table = Tensor(np.arange(8, dtype=float).reshape(4, 2), requires_grad=True)
         run_backward(lambda: total(ad.gather_rows(table, np.array([1, 1, 3]))))
@@ -619,6 +625,12 @@ class TestLrtLogLikelihood:
         with Tape() as tape:
             ad.lrt_log_likelihood(y, v, eps, targets)
         assert len(tape) == 1
+
+    def test_targets_out_of_range_rejected(self):
+        y, v, eps, _ = self._inputs(rows=2, cols=3)
+        for targets in ([-1, -2], [0, 3]):
+            with pytest.raises(IndexError, match="lrt_log_likelihood"):
+                ad.lrt_log_likelihood(y, v, eps, targets)
 
     def test_errors(self):
         y, v, eps, targets = self._inputs()

@@ -374,7 +374,8 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")
 
     @pytest.mark.parametrize("axes", [{"mc_inference": [False]},
-                                      {"dropout.kind": ["bernoulli", "none"]}])
+                                      {"dropout.kind": ["bernoulli", "none"]},
+                                      {"optimizer.algorithm": ["sgd"]}])
     def test_removed_setting_rejected(self, workspace, tmp_path, capsys, axes):
         manifest = self.manifest(workspace, tmp_path, axes)
         assert main(["sweep", "--manifest", str(manifest),
@@ -386,6 +387,29 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(manifest),
                      "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"axes"'])
+    def test_non_object_manifest_rejected(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")
+
+    def test_dataset_flag_overrides_the_base_and_is_recorded(self, workspace, tmp_path):
+        manifest = self.manifest(workspace, tmp_path, {"seed": [1]})
+        data = json.loads(manifest.read_text())
+        data["base"]["dataset"] = str(tmp_path / "ghost.jsonl")
+        manifest.write_text(json.dumps(data))
+        dataset = str(workspace / "data.jsonl")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--manifest", str(manifest), "--dataset", dataset,
+                     "--out", str(out)]) == 0
+        run = out / "seed=1"
+        assert json.loads((run / "config.json").read_text())["dataset"] == dataset
+        # the saved config evaluates its checkpoint without a --dataset flag
+        assert main(["eval", "--config", str(run / "config.json"),
+                     "--checkpoint", str(run / "checkpoint.json")]) == 0
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["sweep", "--manifest", str(tmp_path / "ghost.json"),

@@ -66,10 +66,11 @@ class TestValidation:
             cfg.validate()
 
     def test_bad_optimizer_rejected(self):
-        cfg = RunConfig()
-        cfg.optimizer.algorithm = "rmsprop"
-        with pytest.raises(ValueError, match="optimizer"):
-            cfg.validate()
+        for name in ("rmsprop", "sgd"):
+            cfg = RunConfig()
+            cfg.optimizer.algorithm = name
+            with pytest.raises(ValueError, match="optimizer"):
+                cfg.validate()
 
     def test_nonpositive_training_knobs_rejected(self):
         for field, value in (("learning_rate", 0.0), ("epochs", 0),
@@ -130,7 +131,7 @@ class TestParsing:
     def test_round_trip_identity(self):
         cfg = RunConfig(cues=("image", "tag"), combiner="mixture", seed=17,
                         dataset="d.jsonl", out_dir="runs/x")
-        cfg.optimizer.algorithm = "adam"
+        cfg.optimizer.learning_rate = 0.01
         cfg.mumc.gamma = 0.5
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg

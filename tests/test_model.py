@@ -198,7 +198,10 @@ def _decode(p, kind):
     dec = Decoder(4, 3, 5, 9, p, kind, RngStream(1).child("dec"), emb)
     g_enc = Tensor(RngStream(2).normal((2, 4)))
     gold = np.array([[BOS, 5, 6, EOS], [BOS, 7, EOS, PAD]])
-    return lambda rng: [t.data for t in decode_teacher_forced(dec, g_enc, gold, rng)]
+    def call(rng):
+        masks = dec.cell.sample_masks(2, rng.child("cell") if rng else None)
+        return [t.data for t in decode_teacher_forced(dec, g_enc, gold, masks=masks)]
+    return call
 
 
 def _encode(p, kind):

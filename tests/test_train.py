@@ -18,7 +18,7 @@ from mcvqg.model import MultiCueModel, make_batch
 from mcvqg.nn import load_checkpoint, restore_params
 from mcvqg.rng import RngStream
 from mcvqg.train import (TrainingDiverged, build_model, curve_to_csv,
-                         evaluate_model, make_optimizer, run_step, split_indices,
+                         evaluate_model, run_step, split_indices,
                          teacher_loss, tokens_to_words, train_and_save,
                          train_model, variance_csv, variance_records)
 
@@ -251,27 +251,18 @@ class TestOneEncodeStep:
 
 
 class TestOptimizers:
-    def test_sgd_moves_against_the_gradient(self):
-        cfg = tiny_config()
+    def test_adam_is_selected_and_updates(self, monkeypatch):
+        cfg = tiny_config(optimizer={"learning_rate": 0.01, "epochs": 1,
+                                     "batch_size": 4})
+        steps = []
+        step = mtrain.AdamOptimizer.step
+        monkeypatch.setattr(mtrain.AdamOptimizer, "step",
+                            lambda self: steps.append(self.lr) or step(self))
+        train_model(cfg, DS)
+        assert steps == [0.01, 0.01]     # 8 training examples, batches of 4
         model = build_model(cfg, DS)
         params = model.named_params()
-        opt = make_optimizer(cfg, params)
-        before = {k: p.data.copy() for k, p in params.items()}
-        opt.zero()
-        run_step(model, make_batch(DS, range(4)), cfg, RngStream(0).child("s"))
-        grads = {k: p.grad.copy() for k, p in params.items()}
-        opt.step()
-        for k, p in params.items():
-            np.testing.assert_array_equal(p.data,
-                                          before[k] - 0.05 * grads[k])
-
-    def test_adam_is_selected_and_updates(self):
-        cfg = tiny_config(optimizer={"algorithm": "adam", "learning_rate": 0.01,
-                                     "epochs": 2, "batch_size": 4})
-        model = build_model(cfg, DS)
-        params = model.named_params()
-        opt = make_optimizer(cfg, params)
-        assert type(opt).__name__ == "AdamOptimizer"
+        opt = mtrain.AdamOptimizer(params, 0.01)
         before = {k: p.data.copy() for k, p in params.items()}
         opt.zero()
         run_step(model, make_batch(DS, range(4)), cfg, RngStream(0).child("s"))
@@ -307,9 +298,15 @@ class TestTrainModel:
         result = train_model(cfg, DS)
         assert result.best_val_loss == min(r["val_loss"] for r in result.curve)
         assert result.curve[result.best_epoch]["val_loss"] == result.best_val_loss
+        # the model holds what a run that stops after the best epoch ends with
+        assert result.best_epoch < cfg.optimizer.epochs - 1
+        short = tiny_config(optimizer={"epochs": result.best_epoch + 1, "batch_size": 4,
+                                       "learning_rate": 0.3})
+        ended = train_model(short, DS).model.named_params()
         params = result.model.named_params()
+        assert sorted(params) == sorted(ended)
         for name, t in params.items():
-            np.testing.assert_array_equal(t.data, result.best_params[name])
+            assert t.data.tobytes() == ended[name].data.tobytes()
         val_losses, weights = [], []
         bs = cfg.optimizer.batch_size
         for start in range(0, len(result.val_indices), bs):
