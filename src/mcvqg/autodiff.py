@@ -257,10 +257,9 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; strictly positive output."""
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    s = _sigmoid(x)
 
     def backward_fn(g):
-        _accum(a, g * s)
+        _accum(a, g * _sigmoid(x))
 
     return _make(out, (a,), backward_fn)
 
@@ -430,10 +429,9 @@ def row_logsumexp(x: Tensor) -> Tensor:
     m = x.data.max(axis=1)
     e = np.exp(x.data - m[:, None])
     s = e.sum(axis=1)
-    p = e / s[:, None]
 
     def backward_fn(g):
-        _accum(x, g[:, None] * p)
+        _accum(x, g[:, None] * (e / s[:, None]))
 
     return _make(m + np.log(s), (x,), backward_fn)
 

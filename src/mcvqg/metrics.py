@@ -30,14 +30,13 @@ def _closest_ref_length(cand_len: int, references) -> int:
 def _ngram_counts(tokens, n_max: int) -> list:
     """The k-gram Counters of one sentence, k = 1..n_max."""
     tokens = list(tokens)
-    return [Counter(ngrams(tokens, k)) for k in range(1, n_max + 1)]
+    return [Counter(zip(*[tokens[i:] for i in range(k)])) for k in range(1, n_max + 1)]
 
 
-def _clipped_counts(cand_counts: Counter, max_ref: Counter):
-    """(clipped matches, candidate n-gram total) of one order, clipping by
-    the per-reference maximum counts."""
-    return (sum(min(v, max_ref[g]) for g, v in cand_counts.items()),
-            sum(cand_counts.values()))
+def _clipped(cand_counts: Counter, max_ref: Counter) -> int:
+    """Clipped matches of one order: each candidate n-gram counts at most
+    as often as the per-reference maximum."""
+    return sum(min(v, max_ref[g]) for g, v in cand_counts.items() if g in max_ref)
 
 
 def _bleu_from_totals(totals, c_sum: int, r_sum: int) -> list:
@@ -100,21 +99,35 @@ def _corpus_bleu_orders(candidates, references_list, n: int) -> list:
             max_ref = Counter()
             for rc in ref_counts:
                 max_ref |= rc[k]
-            clipped, total = _clipped_counts(counts, max_ref)
-            totals[k][0] += clipped
-            totals[k][1] += total
+            totals[k][0] += _clipped(counts, max_ref)
+            totals[k][1] += sum(counts.values())
     return _bleu_from_totals(totals, c_sum, r_sum)
 
 
+def _positions(tokens) -> dict:
+    """token -> bitmask of where it occurs in `tokens` (bit i for tokens[i])."""
+    masks = {}
+    for i, x in enumerate(tokens):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
+def _lcs_bits(masks: dict, length: int, b) -> int:
+    """LCS length of b and a sequence of `length` tokens given by its
+    `_positions` masks: the bit-vector recurrence of Crochemore et al.
+    (2001), one integer step per token of b. Each zero bit of v is one unit
+    of LCS length so far."""
+    full = (1 << length) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return length - v.bit_count()
+
+
 def lcs_length(a, b) -> int:
-    a, b = list(a), list(b)
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    a = list(a)
+    return _lcs_bits(_positions(a), len(a), b)
 
 
 def rouge_l(candidate, references, beta: float = ROUGE_BETA) -> float:
@@ -123,10 +136,11 @@ def rouge_l(candidate, references, beta: float = ROUGE_BETA) -> float:
     if not references:
         raise ValueError("ROUGE-L needs at least one reference")
     candidate = list(candidate)
+    masks = _positions(candidate)
     best = 0.0
     for ref in references:
         ref = list(ref)
-        l = lcs_length(candidate, ref)
+        l = _lcs_bits(masks, len(candidate), ref)
         if l == 0:
             continue
         p = l / len(candidate)
@@ -143,16 +157,11 @@ def _tfidf(counts: Counter, df: Counter, log_n: float):
     if total == 0:
         return {}
     return {g: (v / total) * (log_n - math.log(df[g]))
-            for g, v in counts.items() if df[g] > 0}
+            for g, v in counts.items() if g in df}
 
 
-def _cosine(a: dict, b: dict):
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
-    if na == 0.0 or nb == 0.0:
-        return None
-    dot = sum(v * b.get(g, 0.0) for g, v in a.items())
-    return dot / (na * nb)
+def _norm(vec: dict) -> float:
+    return math.sqrt(sum(v * v for v in vec.values()))
 
 
 def cider(candidates, references_list, n_max: int = CIDER_MAX_ORDER):
@@ -174,7 +183,9 @@ def cider(candidates, references_list, n_max: int = CIDER_MAX_ORDER):
 
 def _cider(cand_counts, ref_counts, n_max: int):
     """CIDEr from each candidate's and reference's k-gram Counters
-    (`_ngram_counts`, at least n_max orders), counted once per sentence."""
+    (`_ngram_counts`, at least n_max orders), counted once per sentence.
+    A candidate's vector and norm are built once per order, and a
+    reference's only for the orders where the candidate's carries weight."""
     dfs = [Counter() for _ in range(n_max)]
     for refs in ref_counts:
         if not refs:
@@ -187,10 +198,15 @@ def _cider(cand_counts, ref_counts, n_max: int):
         terms = []
         for k, df in enumerate(dfs):
             cv = _tfidf(cc[k], df, log_n)
-            if not cv:          # every cosine with an empty vector is None
+            nc = _norm(cv)
+            if nc == 0.0:       # every cosine with a weightless vector is undefined
                 continue
-            cells = [_cosine(cv, _tfidf(rc[k], df, log_n)) for rc in refs]
-            cells = [cell for cell in cells if cell is not None]
+            cells = []
+            for rc in refs:
+                rv = _tfidf(rc[k], df, log_n)
+                nr = _norm(rv)
+                if nr != 0.0:
+                    cells.append(sum(v * rv.get(g, 0.0) for g, v in cv.items()) / (nc * nr))
             if cells:
                 terms.append(sum(cells) / len(cells))
         scores.append(10.0 * sum(terms) / len(terms) if terms else 0.0)
@@ -239,8 +255,9 @@ def evaluate_corpus(candidates, references_list) -> EvalReport:
     per_example = []
     for cand, refs, cc, rcs, cd in zip(candidates, references_list, cand_counts,
                                        ref_counts, cider_scores):
-        per_ref = [_bleu_from_totals([_clipped_counts(c, r) for c, r in
-                                      zip(cc[:BLEU_MAX_ORDER], rc)], len(cand), len(ref))
+        totals = [sum(c.values()) for c in cc[:BLEU_MAX_ORDER]]
+        per_ref = [_bleu_from_totals([(_clipped(c, r), t) for c, r, t in
+                                      zip(cc, rc, totals)], len(cand), len(ref))
                    for ref, rc in zip(refs, rcs)]
         row = {f"bleu{n}": 100.0 * max(scores[n - 1] for scores in per_ref)
                for n in range(1, 5)}

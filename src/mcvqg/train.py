@@ -20,11 +20,11 @@ import numpy as np
 
 from .autodiff import Tape
 from .config import DECISION_MODES, RunConfig, config_to_dict
-from .data import Dataset, atomic_write
+from .data import EOS, Dataset, atomic_write
 from .decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
                       gen_loss, generate_greedy, generate_mc, mumc_refine,
                       targets_and_mask)
-from .metrics import EvalReport, evaluate_corpus
+from .metrics import evaluate_corpus
 from .model import Batch, MultiCueModel, dropout_override, make_batch
 from .nn import mc_predict, save_checkpoint
 from .rng import RngStream
@@ -274,7 +274,6 @@ def train_and_save(cfg: RunConfig, dataset: Dataset, out_dir: str,
 
 def tokens_to_words(tokens, vocab) -> list:
     """Token ids up to (excluding) the first EOS, as vocabulary words."""
-    from .data import EOS
     words = []
     for t in tokens:
         if t == EOS:

@@ -1,7 +1,6 @@
 """Tests for run configuration parsing, validation, overrides, and the
 README's table of named variants."""
 
-import dataclasses
 import json
 import os
 import re

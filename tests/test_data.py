@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import mcvqg.data as D
-from mcvqg.data import (BOS, EOS, PAD, UNK, CueBundle, Dataset, TagSet,
-                        Vocabulary, atomic_write, extract_tags, load_dataset,
-                        save_dataset, synth_generate)
+from mcvqg.data import (BOS, EOS, PAD, UNK, TagSet, Vocabulary, atomic_write,
+                        extract_tags, load_dataset, save_dataset, synth_generate)
 
 
 class TestVocabulary:

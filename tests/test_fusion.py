@@ -8,7 +8,7 @@ import mcvqg.cues as cues
 from mcvqg.autodiff import Tensor
 from mcvqg.data import PAD, synth_generate
 from mcvqg.fusion import CueFusion, MixtureCombiner, Moderator, mix_encoding
-from mcvqg.nn import BayesianLSTMCell, BayesianMLP, EmbeddingTable
+from mcvqg.nn import BayesianLSTMCell, EmbeddingTable
 from mcvqg.rng import RngStream
 
 from loss_helpers import total

@@ -230,6 +230,19 @@ class TestLcs:
             b = _random_sentence(rng, 0, 6, vocab=4)
             assert lcs_length(a, b) == _lcs_rec(tuple(a), tuple(b))
 
+    def test_long_sequences_match_the_table(self):
+        # past 64 tokens the bit vectors span more than one machine word
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            a = _random_sentence(rng, 0, 150, vocab=6)
+            b = _random_sentence(rng, 0, 150, vocab=6)
+            table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+            for i, x in enumerate(a, start=1):
+                for j, y in enumerate(b, start=1):
+                    table[i][j] = (table[i - 1][j - 1] + 1 if x == y
+                                   else max(table[i - 1][j], table[i][j - 1]))
+            assert lcs_length(a, b) == lcs_length(b, a) == table[-1][-1]
+
     def test_ngram_window(self):
         assert ngrams("a b c".split(), 2) == [("a", "b"), ("b", "c")]
         assert ngrams("a".split(), 2) == []
