@@ -24,7 +24,8 @@ def test_two_runs_print_the_same_hashes(capsys):
     first = capsys.readouterr().out.splitlines()
     assert tool.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == first
-    outputs = ["step", "train", "det_eval", "det_tokens", "mc_eval", "variance"]
+    outputs = ["step", "train", "det_eval", "det_tokens", "mc_eval", "variance",
+               "variance_probe"]
     assert [line.split()[2] for line in first] == outputs
     assert all(re.fullmatch(r"seed=5 config=b1-train \w+ [0-9a-f]{64}", line)
                for line in first)

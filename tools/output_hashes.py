@@ -13,7 +13,10 @@ For every seed and config it prints one line per output:
             without the uncertainty floats, so a change that moves only
             those floats can show that the rest stayed bitwise;
 - mc_eval:  MC `evaluate_model` records and report;
-- variance: `variance_records` (MC mean, reference and normalized variance).
+- variance: `variance_records` (MC mean, reference and normalized variance);
+- variance_probe: the same at a forced Bernoulli rate of 0.45, which differs
+            from every config's own rate (and, on `ragged-gaussian`, kind),
+            so a component the dropout override misses moves this line.
 
 A refactor that claims bitwise-unchanged outputs runs this at the parent
 revision and at the change and compares the lines, in one command:
@@ -153,6 +156,9 @@ def hashes(name: str, seed: int, epochs: int):
     var = mtrain.variance_records(result.model, ds, MC_INDICES, T=cfg.eval_mc_samples,
                                   rng=RngStream(seed).child("variance"))
     out.append(("variance", digest(var)))
+    probe = mtrain.variance_records(result.model, ds, MC_INDICES, T=cfg.eval_mc_samples,
+                                    rng=RngStream(seed).child("variance"), sample_rate=0.45)
+    out.append(("variance_probe", digest(probe)))
     return out
 
 
