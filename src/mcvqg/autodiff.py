@@ -25,8 +25,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .rng import RngStream
-
 
 class ShapeError(ValueError):
     pass
@@ -580,27 +578,11 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
 # ---------------------------------------------------------------------------
 # dropout
 
-def dropout_mask(shape, p: float, kind: str, rng: RngStream):
-    """Multiplicative dropout mask: inverted Bernoulli (values 0 or 1/(1-p))
-    or mean-one Gaussian with variance p/(1-p)."""
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if kind == "bernoulli":
-        keep = 1.0 - p
-        return (rng.uniform(shape) < keep).astype(np.float64) / keep
-    if kind == "gaussian":
-        return 1.0 + np.sqrt(p / (1.0 - p)) * rng.normal(shape)
-    raise ValueError(f"unknown dropout kind: {kind!r}")
-
-
-def dropout(x: Tensor, p: float, kind: str, rng: RngStream) -> Tensor:
-    """Multiplicative dropout with a fresh mask drawn from `rng`; p=0
-    returns the input unchanged."""
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
-    mask = dropout_mask(x.data.shape, p, kind, rng)
+def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
+    """x times a multiplicative dropout mask of its shape: an array without
+    gradient (from `nn.Dropout.mask`)."""
+    if np.shape(mask) != x.data.shape:
+        raise ShapeError(f"dropout: mask {np.shape(mask)} does not match {x.data.shape}")
 
     def backward_fn(g):
         _accum(x, g * mask)

@@ -13,16 +13,10 @@ from dataclasses import dataclass, field
 from .data import atomic_write
 from .decoder import MumcConfig
 from .model import check_cue_set
+from .nn import Dropout
 
-DROPOUT_KINDS = ("bernoulli", "gaussian")
 OPTIMIZERS = ("adam",)
 DECISION_MODES = ("deterministic", "mc")
-
-
-@dataclass
-class DropoutConfig:
-    rate: float = 0.3
-    kind: str = "bernoulli"
 
 
 @dataclass
@@ -42,7 +36,7 @@ class RunConfig:
     hidden_dim: int = 32         # decoder LSTM width
     image_dim: int = 32
     place_dim: int = 32
-    dropout: DropoutConfig = field(default_factory=DropoutConfig)
+    dropout: Dropout = field(default_factory=Dropout)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     mumc_enabled: bool = True
     mumc: MumcConfig = field(default_factory=MumcConfig)
@@ -60,10 +54,7 @@ class RunConfig:
                      "place_dim", "max_len", "eval_mc_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not (0.0 <= self.dropout.rate < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout.rate}")
-        if self.dropout.kind not in DROPOUT_KINDS:
-            raise ValueError(f"dropout kind must be one of {DROPOUT_KINDS}")
+        self.dropout.validate()
         if self.optimizer.algorithm not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.optimizer.learning_rate <= 0:
@@ -90,7 +81,7 @@ def _from_dict(cls, data, path):
     kwargs = {}
     for name, value in data.items():
         ftype = fields[name].type
-        nested = {"dropout": DropoutConfig, "optimizer": OptimizerConfig,
+        nested = {"dropout": Dropout, "optimizer": OptimizerConfig,
                   "mumc": MumcConfig}.get(name)
         if nested is not None:
             kwargs[name] = _from_dict(nested, value, f"{path}.{name}" if path else name)

@@ -7,7 +7,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TAG_SLOTS
-from .nn import BayesianLSTMCell, BayesianMLP, EmbeddingTable
+from .nn import BayesianLSTMCell, BayesianMLP, Dropout, EmbeddingTable
 from .rng import RngStream
 
 CUE_NAMES = ("image", "place", "caption", "tag")
@@ -50,8 +50,8 @@ class CueEncoders:
     """Owns the per-cue encoder networks for the configured cue set."""
 
     def __init__(self, cues, image_dim: int, place_dim: int, embed_dim: int,
-                 hidden_dim: int, vocab_size: int, p: float, kind: str,
-                 rng: RngStream, embedding: EmbeddingTable = None):
+                 hidden_dim: int, dropout: Dropout, rng: RngStream,
+                 embedding: EmbeddingTable = None):
         unknown = set(cues) - set(CUE_NAMES)
         if unknown:
             raise ValueError(f"unknown cues: {sorted(unknown)}")
@@ -60,19 +60,19 @@ class CueEncoders:
         self.image_net = self.place_net = None
         self.caption_cell = self.tag_cell = None
         if "image" in self.cues:
-            self.image_net = BayesianMLP([image_dim, hidden_dim, hidden_dim], p, kind,
+            self.image_net = BayesianMLP([image_dim, hidden_dim, hidden_dim], dropout,
                                          rng.child("image_net"))
         if "place" in self.cues:
-            self.place_net = BayesianMLP([place_dim, hidden_dim, hidden_dim], p, kind,
+            self.place_net = BayesianMLP([place_dim, hidden_dim, hidden_dim], dropout,
                                          rng.child("place_net"))
         needs_text = {"caption", "tag"} & set(self.cues)
         if needs_text and self.embedding is None:
             raise ValueError("caption/tag encoders need an embedding table")
         if "caption" in self.cues:
-            self.caption_cell = BayesianLSTMCell(embed_dim, hidden_dim, p, kind,
+            self.caption_cell = BayesianLSTMCell(embed_dim, hidden_dim, dropout,
                                                  rng.child("caption_cell"))
         if "tag" in self.cues:
-            self.tag_cell = BayesianLSTMCell(embed_dim, hidden_dim, p, kind,
+            self.tag_cell = BayesianLSTMCell(embed_dim, hidden_dim, dropout,
                                              rng.child("tag_cell"))
 
     def encode(self, batch, rng: RngStream = None) -> dict:

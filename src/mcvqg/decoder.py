@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import BOS, EOS, PAD
-from .nn import (BayesianLSTMCell, EmbeddingTable, init_bias, init_matrix,
+from .nn import (BayesianLSTMCell, Dropout, EmbeddingTable, init_bias, init_matrix,
                  mc_statistics)
 from .rng import RngStream
 
@@ -46,16 +46,12 @@ class Decoder:
     logit head, and variance head."""
 
     def __init__(self, enc_dim: int, embed_dim: int, hidden_dim: int,
-                 vocab_size: int, p: float, kind: str, rng: RngStream,
+                 vocab_size: int, dropout: Dropout, rng: RngStream,
                  embedding: EmbeddingTable):
-        self.enc_dim = int(enc_dim)
-        self.embed_dim = int(embed_dim)
-        self.hidden_dim = int(hidden_dim)
-        self.vocab_size = int(vocab_size)
         self.embedding = embedding
         self.in_proj_w = init_matrix(enc_dim, embed_dim, rng.child("in_proj"))
         self.in_proj_b = init_bias(embed_dim)
-        self.cell = BayesianLSTMCell(embed_dim, hidden_dim, p, kind, rng.child("cell"))
+        self.cell = BayesianLSTMCell(embed_dim, hidden_dim, dropout, rng.child("cell"))
         self.w_out = init_matrix(hidden_dim, vocab_size, rng.child("w_out"))
         self.b_out = init_bias(vocab_size)
         self.w_var = init_matrix(hidden_dim, vocab_size, rng.child("w_var"))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import BayesianMLP, _wants_dropout, init_bias, init_matrix
+from .nn import BayesianMLP, Dropout, init_bias, init_matrix
 from .rng import RngStream
 
 SIMPLEX_TOL = 1e-9
@@ -25,11 +25,9 @@ class CueFusion:
     """Fusion weights for a fixed tuple of non-image cues: W_i shared by
     every cue, and W_B, b_B and W_BB owned by cue B alone."""
 
-    def __init__(self, dim: int, cues, p: float, kind: str, rng: RngStream):
-        self.dim = int(dim)
+    def __init__(self, dim: int, cues, dropout: Dropout, rng: RngStream):
         self.cues = tuple(cues)
-        self.p = float(p)
-        self.kind = kind
+        self.dropout = dropout
         self.w_img = init_matrix(dim, dim, rng.child("w_img"))
         self.w_cue = {}
         self.bias = {}
@@ -47,8 +45,8 @@ class CueFusion:
             raise ValueError(f"cue {cue!r} not configured for fusion")
         joint = ad.mul(ad.matmul(g_img, self.w_img), ad.matmul(g_cue, self.w_cue[cue]))
         h = ad.tanh(ad.add_rowvec(joint, self.bias[cue]))
-        if _wants_dropout(self.p, rng):
-            h = ad.dropout(h, self.p, self.kind, rng.child(("fuse", cue)))
+        if self.dropout.active(rng):
+            h = self.dropout.apply(h, rng.child(("fuse", cue)))
         return ad.matmul(h, self.w_out[cue])
 
     def fuse_all(self, encoded: dict, rng: RngStream = None) -> dict:
@@ -70,8 +68,8 @@ class Moderator:
     derived from the raw image features, and softmaxes the raw scores into
     the expert weights."""
 
-    def __init__(self, image_dim: int, dim: int, p: float, kind: str, rng: RngStream):
-        self.gate_net = BayesianMLP([image_dim, dim, dim], p, kind, rng.child("gate_net"))
+    def __init__(self, image_dim: int, dim: int, dropout: Dropout, rng: RngStream):
+        self.gate_net = BayesianMLP([image_dim, dim, dim], dropout, rng.child("gate_net"))
 
     def gate(self, mus: dict, image_feats: Tensor, rng: RngStream = None):
         """Returns (pi (B,k), cue order); the scores are taken against the
@@ -112,7 +110,6 @@ class MixtureCombiner:
 
     def __init__(self, n_inputs: int, dim: int, rng: RngStream):
         self.n_inputs = int(n_inputs)
-        self.dim = int(dim)
         self.w = init_matrix(n_inputs * dim, dim, rng.child("w_mix"))
         self.b = init_bias(dim)
 

@@ -18,7 +18,7 @@ from .cues import CUE_NAMES, CueEncoders
 from .data import BOS, PAD, Dataset
 from .decoder import Decoder
 from .fusion import CueFusion, MixtureCombiner, Moderator, mix_encoding
-from .nn import EmbeddingTable
+from .nn import Dropout, EmbeddingTable
 from .rng import RngStream
 
 COMBINERS = ("moderator", "mixture")
@@ -108,26 +108,25 @@ class MultiCueModel:
                  dropout_rate: float, dropout_kind: str, rng: RngStream):
         check_cue_set(cues, combiner)
         self.cues = tuple(c for c in CUE_NAMES if c in set(cues))
-        self.combiner = combiner
-        self.enc_dim = int(enc_dim)
+        # the one setting every dropping component holds
+        self.dropout = Dropout(dropout_rate, dropout_kind).validate()
         self.embedding = EmbeddingTable(vocab_size, embed_dim, rng.child("embedding"))
-        self.encoders = CueEncoders(self.cues, image_dim, place_dim, embed_dim,
-                                    enc_dim, vocab_size, dropout_rate, dropout_kind,
-                                    rng.child("encoders"), embedding=self.embedding)
+        self.encoders = CueEncoders(self.cues, image_dim, place_dim, embed_dim, enc_dim,
+                                    self.dropout, rng.child("encoders"),
+                                    embedding=self.embedding)
         self.fused_cues = tuple(c for c in self.cues if c != "image")
         self.fusion = self.moderator = self.mixture = None
         if len(self.cues) >= 2:
-            self.fusion = CueFusion(enc_dim, self.fused_cues, dropout_rate,
-                                    dropout_kind, rng.child("fusion"))
+            self.fusion = CueFusion(enc_dim, self.fused_cues, self.dropout,
+                                    rng.child("fusion"))
             if combiner == "moderator":
-                self.moderator = Moderator(image_dim, enc_dim, dropout_rate,
-                                           dropout_kind, rng.child("moderator"))
+                self.moderator = Moderator(image_dim, enc_dim, self.dropout,
+                                           rng.child("moderator"))
             else:
                 self.mixture = MixtureCombiner(len(self.fused_cues), enc_dim,
                                                rng.child("mixture"))
         self.decoder = Decoder(enc_dim, embed_dim, hidden_dim, vocab_size,
-                               dropout_rate, dropout_kind, rng.child("decoder"),
-                               self.embedding)
+                               self.dropout, rng.child("decoder"), self.embedding)
 
     def encode(self, batch: Batch, rng: RngStream = None,
                stochastic: bool = True) -> FusedEncoding:
@@ -164,33 +163,18 @@ class MultiCueModel:
         out.update(self.decoder.named_params("dec"))
         return out
 
-    def dropout_components(self):
-        """Every module holding a live (p, kind) dropout setting."""
-        comps = []
-        enc = self.encoders
-        comps += [c for c in (enc.image_net, enc.place_net, enc.caption_cell,
-                              enc.tag_cell) if c is not None]
-        if self.fusion is not None:
-            comps.append(self.fusion)
-        if self.moderator is not None:
-            comps.append(self.moderator.gate_net)
-        comps.append(self.decoder.cell)
-        return comps
-
 
 @contextmanager
 def dropout_override(model: MultiCueModel, rate: float, kind: str):
-    """Temporarily force one dropout setting on every component — used by
+    """Temporarily force one dropout setting on the whole model — used by
     the variance analysis so configurations trained without dropout can
-    still be probed with Monte-Carlo noise at a common rate."""
-    comps = model.dropout_components()
-    saved = [(c.p, c.kind) for c in comps]
+    still be probed with Monte-Carlo noise at a common rate. A setting that
+    fails `Dropout.validate` raises before anything changes."""
+    Dropout(rate, kind).validate()
+    drop = model.dropout
+    saved = (drop.rate, drop.kind)
+    drop.rate, drop.kind = rate, kind
     try:
-        for c in comps:
-            c.p = float(rate)
-            c.kind = kind
         yield model
     finally:
-        for c, (p, k) in zip(comps, saved):
-            c.p = p
-            c.kind = k
+        drop.rate, drop.kind = saved

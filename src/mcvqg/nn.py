@@ -1,5 +1,6 @@
-"""Bayesian building blocks: MC-dropout MLPs, variational LSTM cells,
-embedding tables, Monte-Carlo predictive statistics, and checkpoint I/O.
+"""Bayesian building blocks: the dropout setting, MC-dropout MLPs,
+variational LSTM cells, embedding tables, Monte-Carlo predictive statistics,
+and checkpoint I/O.
 
 A pass is stochastic exactly when it is given an `RngStream`: dropout is
 then active and each call is one posterior sample. Without a stream, dropout
@@ -29,27 +30,59 @@ def init_bias(n: int) -> Tensor:
     return Tensor(np.zeros(n), requires_grad=True)
 
 
-def _wants_dropout(p: float, rng: RngStream) -> bool:
-    return rng is not None and p > 0.0
+DROPOUT_KINDS = ("bernoulli", "gaussian")
+
+
+@dataclass
+class Dropout:
+    """The one dropout setting of a model, and its mask sampler.
+
+    It is also the config file's `dropout` section. A model hands the same
+    object to every component that drops, so changing its fields changes
+    them all. A rate of 0 turns dropout off.
+    """
+    rate: float = 0.3
+    kind: str = "bernoulli"
+
+    def validate(self):
+        if not (0.0 <= self.rate < 1.0):
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
+        if self.kind not in DROPOUT_KINDS:
+            raise ValueError(f"dropout kind must be one of {DROPOUT_KINDS}")
+        return self
+
+    def active(self, rng: RngStream) -> bool:
+        """Whether a pass on `rng` (None for a deterministic pass) drops."""
+        return rng is not None and self.rate > 0.0
+
+    def mask(self, shape, rng: RngStream) -> np.ndarray:
+        """Multiplicative mask drawn from `rng`: inverted Bernoulli (values 0
+        or 1/(1-rate)) or mean-one Gaussian with variance rate/(1-rate)."""
+        self.validate()
+        if self.kind == "bernoulli":
+            keep = 1.0 - self.rate
+            return (rng.uniform(shape) < keep).astype(np.float64) / keep
+        return 1.0 + np.sqrt(self.rate / (1.0 - self.rate)) * rng.normal(shape)
+
+    def apply(self, x: Tensor, rng: RngStream) -> Tensor:
+        """x times a fresh mask from `rng`."""
+        return ad.dropout(x, self.mask(x.data.shape, rng))
 
 
 class BayesianMLP:
     """Linear stack with a dropout applied before every layer.
 
-    tanh between layers, linear output. p=0 collapses to a plain
-    deterministic MLP, and so does a call without a stream; two calls
-    with equal RngStream state produce identical outputs (masks are
+    tanh between layers, linear output. A rate of 0 collapses it to a
+    plain deterministic MLP, and so does a call without a stream; two
+    calls with equal RngStream state produce identical outputs (masks are
     counter-derived).
     """
 
-    def __init__(self, widths, p: float, kind: str, rng: RngStream):
+    def __init__(self, widths, dropout: Dropout, rng: RngStream):
         if len(widths) < 2:
             raise ValueError("BayesianMLP needs at least input and output widths")
-        if not (0.0 <= p < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         self.widths = [int(w) for w in widths]
-        self.p = float(p)
-        self.kind = kind
+        self.dropout = dropout
         self.weights = []
         self.biases = []
         for i, (a, b) in enumerate(zip(self.widths[:-1], self.widths[1:])):
@@ -59,12 +92,12 @@ class BayesianMLP:
     def forward(self, x: Tensor, rng: RngStream = None) -> Tensor:
         if x.shape[-1] != self.widths[0]:
             raise ad.ShapeError(f"mlp: input {x.shape} does not match width {self.widths[0]}")
-        use_dropout = _wants_dropout(self.p, rng)
+        use_dropout = self.dropout.active(rng)
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if use_dropout:
-                h = ad.dropout(h, self.p, self.kind, rng.child(("drop", i)))
+                h = self.dropout.apply(h, rng.child(("drop", i)))
             h = ad.affine(h, w, b)
             if i < last:
                 h = ad.tanh(h)
@@ -90,29 +123,23 @@ class BayesianLSTMCell:
     preactivations (packed order: input, forget, output, candidate) and on
     the step output."""
 
-    def __init__(self, input_size: int, hidden_size: int, p: float, kind: str,
+    def __init__(self, input_size: int, hidden_size: int, dropout: Dropout,
                  rng: RngStream):
-        if not (0.0 <= p < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-        self.input_size = int(input_size)
         self.hidden_size = int(hidden_size)
-        self.p = float(p)
-        self.kind = kind
+        self.dropout = dropout
         h = self.hidden_size
-        self.wx = init_matrix(self.input_size, 4 * h, rng.child("wx"))
+        self.wx = init_matrix(input_size, 4 * h, rng.child("wx"))
         self.wh = init_matrix(h, 4 * h, rng.child("wh"))
         self.b = init_bias(4 * h)
         # forget gate starts open so early-step inputs survive to later steps
         self.b.data[h:2 * h] = 1.0
 
     def sample_masks(self, batch: int, rng: RngStream = None) -> LstmMasks:
-        if not _wants_dropout(self.p, rng):
+        if not self.dropout.active(rng):
             return LstmMasks(None, None)
         h = self.hidden_size
-        return LstmMasks(
-            gates=ad.dropout_mask((batch, 4 * h), self.p, self.kind, rng.child("gates")),
-            out=ad.dropout_mask((batch, h), self.p, self.kind, rng.child("out")),
-        )
+        return LstmMasks(gates=self.dropout.mask((batch, 4 * h), rng.child("gates")),
+                         out=self.dropout.mask((batch, h), rng.child("out")))
 
     def step(self, x: Tensor, h: Tensor, c: Tensor, masks: LstmMasks):
         """One timestep; (x, h, c) are (B, *) rows, returns (h', c')."""
@@ -150,9 +177,7 @@ class EmbeddingTable:
     """Token id -> row of a (V, dim) matrix; lookup equals one-hot matmul."""
 
     def __init__(self, vocab_size: int, dim: int, rng: RngStream):
-        self.vocab_size = int(vocab_size)
-        self.dim = int(dim)
-        self.weight = init_matrix(self.vocab_size, self.dim, rng)
+        self.weight = init_matrix(vocab_size, dim, rng)
 
     def lookup(self, ids) -> Tensor:
         return ad.gather_rows(self.weight, ids)

@@ -12,6 +12,8 @@ import threading
 
 import numpy as np
 
+from .autodiff import ShapeError
+
 _MASK64 = (1 << 64) - 1
 _LOCAL = threading.local()
 
@@ -50,8 +52,8 @@ def _text_to_int(text: str) -> int:
 class RngStream:
     """Splittable counter-based random stream (Philox under the hood).
 
-    Every draw is fully determined by (seed, stream id, counter): replaying
-    a stream with the same state replays its draws bitwise, and sibling
+    Every draw is determined by (seed, stream id, counter): replaying a
+    stream with the same state replays its draws bitwise, and sibling
     streams derived via `child` are statistically independent, so
     Monte-Carlo samples can be produced in any order without changing their
     values. Each draw call occupies its own counter block, so the sizes of
@@ -69,6 +71,12 @@ class RngStream:
     a draw sets its state, id by id, to the key (seed, id) and the call's
     counter block before drawing, so the bits are those of a generator
     freshly built on that key and counter.
+
+    Distinct ids do not always give distinct keys. Next to a seed < 2**63,
+    the key of an id >= 2**63 goes through float64 (see `_each_id`): it
+    keeps only the id's top 53 bits, so neighbouring ids draw alike, and
+    an id in [2**64 - 1024, 2**64) rounds to 2**64 and keys as id 0. For
+    hashed ids such a collision is unlikely, but not impossible.
     """
 
     __slots__ = ("seed", "streams", "counter")
@@ -139,7 +147,6 @@ class RngStream:
             return self._each_id(method, shape)[0]
         shape = tuple(shape)
         if not shape or shape[0] % count:
-            from .autodiff import ShapeError  # autodiff imports this module
             raise ShapeError(f"row-stacked draw of shape {shape}: the leading "
                              f"extent must be a multiple of {count} rows")
         block = (shape[0] // count,) + shape[1:]

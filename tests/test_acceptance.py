@@ -48,7 +48,7 @@ from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced,
 from mcvqg.fusion import Moderator
 from mcvqg.metrics import bleu_n, cider, rouge_l
 from mcvqg.model import Batch, MultiCueModel, make_batch
-from mcvqg.nn import mc_predict
+from mcvqg.nn import Dropout, mc_predict
 from mcvqg.rng import RngStream
 from mcvqg.train import (evaluate_model, run_step, teacher_loss, train_model,
                          variance_records)
@@ -245,7 +245,7 @@ class TestAcceptance:
         enc = solo.encode(batch, rng.child("solo"))
         assert enc.pi.data.shape == (2, 1)
         assert np.all(enc.pi.data == 1.0)
-        mod = Moderator(image_dim=5, dim=4, p=0.3, kind="bernoulli",
+        mod = Moderator(image_dim=5, dim=4, dropout=Dropout(0.3, "bernoulli"),
                         rng=RngStream(8).child("mod"))
         pi, order = mod.gate({"caption": Tensor(draw.normal(size=(3, 4)))},
                              Tensor(draw.normal(size=(3, 5))),
@@ -259,7 +259,7 @@ class TestAcceptance:
         """1000 randomized gate inputs (magnitudes up to 1e3, 1-3 cues,
         stochastic gate net) land on the probability simplex within 1e-12;
         the score-to-weight map keeps its argmax under constant shifts."""
-        mod = Moderator(image_dim=6, dim=5, p=0.3, kind="bernoulli",
+        mod = Moderator(image_dim=6, dim=5, dropout=Dropout(0.3, "bernoulli"),
                         rng=RngStream(7).child("mod"))
         gate_rng = RngStream(99).child("gate")
         draw = np.random.default_rng(1234)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mcvqg.autodiff as ad
 from mcvqg.autodiff import ShapeError, Tape, Tensor
+from mcvqg.nn import Dropout
 from mcvqg.rng import RngStream
 
 from loss_helpers import total
@@ -653,47 +654,60 @@ class TestLrtLogLikelihood:
 
 
 class TestDropout:
+    """`Dropout.mask` draws the mask; `ad.dropout` multiplies by it."""
+
     def test_rate_zero_is_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert ad.dropout(x, 0.0, "bernoulli", RngStream(0)) is x
+        x = Tensor([1.0, -2.0, 3.0])
+        for kind in ("bernoulli", "gaussian"):
+            drop = Dropout(0.0, kind)
+            assert not drop.active(RngStream(0))
+            mask = drop.mask((3,), RngStream(0))
+            assert np.array_equal(mask, np.ones(3))
+            assert np.array_equal(ad.dropout(x, mask).data, x.data)
 
     def test_rate_domain(self):
-        x = Tensor([1.0])
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                ad.dropout(x, bad, "bernoulli", RngStream(0))
+        for bad in (-0.1, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="dropout rate"):
+                Dropout(bad, "bernoulli").mask((1,), RngStream(0))
+        with pytest.raises(ValueError, match="dropout kind"):
+            Dropout(0.3, "dropconnect").mask((1,), RngStream(0))
+        with pytest.raises(ShapeError, match="mask"):
+            ad.dropout(Tensor(np.ones((2, 3))), np.ones((3, 2)))
 
     def test_bernoulli_values_and_mean(self):
         p = 0.3
-        mask = ad.dropout_mask((200000,), p, "bernoulli", RngStream(11))
+        mask = Dropout(p, "bernoulli").mask((200000,), RngStream(11))
         vals = set(np.unique(mask))
         assert vals <= {0.0, 1.0 / (1 - p)}
         assert abs(mask.mean() - 1.0) < 0.01
 
     def test_gaussian_mean_one_variance(self):
         p = 0.4
-        mask = ad.dropout_mask((200000,), p, "gaussian", RngStream(12))
+        mask = Dropout(p, "gaussian").mask((200000,), RngStream(12))
         assert abs(mask.mean() - 1.0) < 0.01
         assert abs(mask.var() - p / (1 - p)) < 0.02
 
     def test_fixed_mask_reused_exactly(self):
         x = Tensor(np.ones((3, 4)))
-        mask = ad.dropout_mask((3, 4), 0.5, "bernoulli", RngStream(13))
-        a = ad.dropout(x, 0.5, "bernoulli", RngStream(13))
-        b = ad.dropout(x, 0.5, "bernoulli", RngStream(13))
+        drop = Dropout(0.5, "bernoulli")
+        mask = drop.mask((3, 4), RngStream(13))
+        a = drop.apply(x, RngStream(13))
+        b = drop.apply(x, RngStream(13))
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.data, mask)
+        assert np.array_equal(ad.dropout(x, mask).data, mask)
 
     def test_same_stream_state_same_mask(self):
         x = Tensor(np.ones(50))
-        a = ad.dropout(x, 0.5, "bernoulli", RngStream(9, stream=4))
-        b = ad.dropout(x, 0.5, "bernoulli", RngStream(9, stream=4))
+        drop = Dropout(0.5, "bernoulli")
+        a = drop.apply(x, RngStream(9, stream=4))
+        b = drop.apply(x, RngStream(9, stream=4))
         assert np.array_equal(a.data, b.data)
 
     def test_backward_scales_by_mask(self):
         x = Tensor(np.ones(6), requires_grad=True)
-        mask = ad.dropout_mask((6,), 0.5, "bernoulli", RngStream(14))
-        run_backward(lambda: total(ad.dropout(x, 0.5, "bernoulli", RngStream(14))))
+        mask = Dropout(0.5, "bernoulli").mask((6,), RngStream(14))
+        run_backward(lambda: total(ad.dropout(x, mask)))
         assert np.array_equal(x.grad, mask)
 
 

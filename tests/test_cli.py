@@ -333,6 +333,17 @@ class TestVariance:
                      "--out", str(tmp_path / "v.csv")]) == 1
         assert capsys.readouterr().err.startswith("ERROR USAGE_INVALID:")
 
+    @pytest.mark.parametrize("rate", ["-0.1", "nan", "1.5"])
+    def test_rate_outside_the_dropout_domain_is_a_usage_error(self, workspace, tmp_path,
+                                                              capsys, rate):
+        out = tmp_path / "v.csv"
+        assert main(["variance", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--n", "2", "--mc-samples", "3", "--rate", rate,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR USAGE_INVALID: dropout rate")
+        assert not out.exists()
+
 
 class TestSweep:
     def manifest(self, workspace, tmp_path, axes):

@@ -13,7 +13,7 @@ from mcvqg.decoder import (Decoder, MumcConfig, aleatoric_mc_loss,
                            decode_teacher_forced, distorted_loss, gen_loss,
                            generate_greedy, generate_mc, mumc_refine,
                            targets_and_mask)
-from mcvqg.nn import EmbeddingTable
+from mcvqg.nn import Dropout, EmbeddingTable
 from mcvqg.rng import RngStream
 
 from loss_helpers import total
@@ -27,7 +27,7 @@ HID = 6
 def _decoder(p=0.0, kind="bernoulli", seed=11):
     rng = RngStream(seed)
     emb = EmbeddingTable(VOCAB, EMB, rng.child("emb"))
-    return Decoder(ENC, EMB, HID, VOCAB, p, kind, rng.child("dec"), emb)
+    return Decoder(ENC, EMB, HID, VOCAB, Dropout(p, kind), rng.child("dec"), emb)
 
 
 def _gold():
@@ -46,7 +46,7 @@ def _np_sigmoid(x):
 def _np_teacher_forced(dec, g_enc, gold):
     """Independent numpy replica of the deterministic decode."""
     wx, wh, b = dec.cell.wx.data, dec.cell.wh.data, dec.cell.b.data
-    n = dec.hidden_dim
+    n = dec.cell.hidden_size
     h = np.zeros((gold.shape[0], n))
     c = np.zeros_like(h)
 

@@ -8,7 +8,7 @@ import mcvqg.cues as cues
 from mcvqg.autodiff import Tensor
 from mcvqg.data import PAD, synth_generate
 from mcvqg.fusion import CueFusion, MixtureCombiner, Moderator, mix_encoding
-from mcvqg.nn import BayesianLSTMCell, EmbeddingTable
+from mcvqg.nn import BayesianLSTMCell, Dropout, EmbeddingTable
 from mcvqg.rng import RngStream
 
 from loss_helpers import total
@@ -19,7 +19,7 @@ class TestCueEncoders:
         rng = RngStream(0)
         emb = EmbeddingTable(60, 6, rng.child("emb"))
         return cues.CueEncoders(cue_set, image_dim=24, place_dim=8, embed_dim=6,
-                                hidden_dim=5, vocab_size=60, p=p, kind=kind,
+                                hidden_dim=5, dropout=Dropout(p, kind),
                                 rng=rng.child("enc"), embedding=emb)
 
     def test_caption_padding_matches_per_example(self):
@@ -43,7 +43,7 @@ class TestCueEncoders:
     RAGGED_LENGTHS = np.array([3, 1, 5])
 
     def _ragged_caption_loss(self, kind):
-        cell = BayesianLSTMCell(4, 3, p=0.3, kind=kind, rng=RngStream(30))
+        cell = BayesianLSTMCell(4, 3, Dropout(0.3, kind), rng=RngStream(30))
         emb = EmbeddingTable(12, 4, RngStream(31))
         weights = Tensor(RngStream(32).normal((3, 3)))
 
@@ -108,7 +108,7 @@ class TestCueEncoders:
 
 class TestCueFusion:
     def test_identity_weights_give_tanh_of_product(self):
-        fus = CueFusion(3, ("place",), p=0.0, kind="bernoulli", rng=RngStream(0))
+        fus = CueFusion(3, ("place",), Dropout(0.0, "bernoulli"), rng=RngStream(0))
         fus.w_img.data = np.eye(3)
         fus.w_cue["place"].data = np.eye(3)
         fus.w_out["place"].data = np.eye(3)
@@ -118,19 +118,19 @@ class TestCueFusion:
         assert np.allclose(mu.data, np.tanh(g_i * g_p), rtol=1e-14)
 
     def test_zero_output_weights_give_zero(self):
-        fus = CueFusion(3, ("caption",), p=0.0, kind="bernoulli", rng=RngStream(1))
+        fus = CueFusion(3, ("caption",), Dropout(0.0, "bernoulli"), rng=RngStream(1))
         fus.w_out["caption"].data = np.zeros((3, 3))
         mu = fus.fuse("caption", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         assert np.array_equal(mu.data, np.zeros((2, 3)))
 
     def test_dropout_before_output_projection(self):
         # with an all-zero dropout mask the output is exactly zero
-        fus = CueFusion(2, ("place",), p=0.5, kind="bernoulli", rng=RngStream(2))
+        fus = CueFusion(2, ("place",), Dropout(0.5, "bernoulli"), rng=RngStream(2))
         g = Tensor(np.ones((1, 2)))
         seen_zero = False
         for s in range(300):
             rng = RngStream(3, stream=s)
-            mask = ad.dropout_mask((1, 2), 0.5, "bernoulli", rng.child(("fuse", "place")))
+            mask = fus.dropout.mask((1, 2), rng.child(("fuse", "place")))
             if np.all(mask == 0):
                 mu = fus.fuse("place", g, g, rng=rng)
                 assert np.array_equal(mu.data, np.zeros((1, 2)))
@@ -140,11 +140,11 @@ class TestCueFusion:
 
     def test_shared_caption_tag_output_flag(self):
         # every cue owns its output projection
-        separate = CueFusion(3, ("caption", "tag"), p=0.0, kind="bernoulli", rng=RngStream(4))
+        separate = CueFusion(3, ("caption", "tag"), Dropout(0.0, "bernoulli"), rng=RngStream(4))
         assert separate.w_out["tag"] is not separate.w_out["caption"]
 
     def test_unconfigured_cue_rejected(self):
-        fus = CueFusion(3, ("place",), p=0.0, kind="bernoulli", rng=RngStream(5))
+        fus = CueFusion(3, ("place",), Dropout(0.0, "bernoulli"), rng=RngStream(5))
         with pytest.raises(ValueError):
             fus.fuse("tag", Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
 
@@ -152,7 +152,7 @@ class TestCueFusion:
 class TestModerator:
     def _setup(self, n_cues=3, batch=4, dim=5, seed=0):
         rng = RngStream(seed)
-        mod = Moderator(image_dim=6, dim=dim, p=0.0, kind="bernoulli", rng=rng.child("mod"))
+        mod = Moderator(image_dim=6, dim=dim, dropout=Dropout(0.0, "bernoulli"), rng=rng.child("mod"))
         feats = Tensor(rng.child("x").normal((batch, 6)))
         names = ("place", "caption", "tag")[:n_cues]
         mus = {c: Tensor(rng.child(c).normal((batch, dim))) for c in names}
@@ -219,9 +219,9 @@ class TestMixEncoding:
 
     def test_gradients_through_fuse_gate_mix(self):
         rng = RngStream(7)
-        fus = CueFusion(4, ("place", "caption"), p=0.3, kind="bernoulli",
+        fus = CueFusion(4, ("place", "caption"), Dropout(0.3, "bernoulli"),
                         rng=rng.child("fus"))
-        mod = Moderator(image_dim=5, dim=4, p=0.3, kind="bernoulli", rng=rng.child("mod"))
+        mod = Moderator(image_dim=5, dim=4, dropout=Dropout(0.3, "bernoulli"), rng=rng.child("mod"))
         g_img = Tensor(rng.child("gi").normal((2, 4)))
         g_p = Tensor(rng.child("gp").normal((2, 4)))
         g_c = Tensor(rng.child("gc").normal((2, 4)))

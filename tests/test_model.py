@@ -8,7 +8,7 @@ from mcvqg.data import BOS, EOS, PAD, synth_generate
 from mcvqg.decoder import Decoder, decode_teacher_forced
 from mcvqg.fusion import CueFusion, Moderator
 from mcvqg.model import MultiCueModel, dropout_override, make_batch
-from mcvqg.nn import BayesianLSTMCell, BayesianMLP, EmbeddingTable
+from mcvqg.nn import BayesianLSTMCell, BayesianMLP, Dropout, EmbeddingTable
 from mcvqg.rng import RngStream
 
 IMAGE_DIM = 24
@@ -165,13 +165,13 @@ class TestEncode:
 
 
 def _mlp(p, kind):
-    net = BayesianMLP([5, 4, 3], p, kind, RngStream(1))
+    net = BayesianMLP([5, 4, 3], Dropout(p, kind), RngStream(1))
     x = Tensor(RngStream(2).normal((2, 5)))
     return lambda rng: [net.forward(x, rng).data]
 
 
 def _lstm_masks(p, kind):
-    cell = BayesianLSTMCell(3, 4, p, kind, RngStream(1))
+    cell = BayesianLSTMCell(3, 4, Dropout(p, kind), RngStream(1))
 
     def call(rng):
         masks = cell.sample_masks(2, rng)
@@ -180,13 +180,13 @@ def _lstm_masks(p, kind):
 
 
 def _fuse(p, kind):
-    fus = CueFusion(4, ("place",), p, kind, RngStream(1))
+    fus = CueFusion(4, ("place",), Dropout(p, kind), RngStream(1))
     g_img, g_cue = (Tensor(RngStream(s).normal((2, 4))) for s in (2, 3))
     return lambda rng: [fus.fuse("place", g_img, g_cue, rng).data]
 
 
 def _gate(p, kind):
-    mod = Moderator(5, 4, p, kind, RngStream(1))
+    mod = Moderator(5, 4, Dropout(p, kind), RngStream(1))
     mus = {cue: Tensor(RngStream(s).normal((2, 4)))
            for s, cue in ((2, "place"), (3, "caption"))}
     feats = Tensor(RngStream(4).normal((2, 5)))
@@ -195,7 +195,7 @@ def _gate(p, kind):
 
 def _decode(p, kind):
     emb = EmbeddingTable(9, 3, RngStream(1).child("emb"))
-    dec = Decoder(4, 3, 5, 9, p, kind, RngStream(1).child("dec"), emb)
+    dec = Decoder(4, 3, 5, 9, Dropout(p, kind), RngStream(1).child("dec"), emb)
     g_enc = Tensor(RngStream(2).normal((2, 4)))
     gold = np.array([[BOS, 5, 6, EOS], [BOS, 7, EOS, PAD]])
     def call(rng):
@@ -277,31 +277,79 @@ class TestNamedParams:
         assert not any(k.startswith("mixture") for k in with_mod)
 
 
+ALL_CUES = ("image", "place", "caption", "tag")
+
+
+def dropout_sites(model, batch, rng=None) -> dict:
+    """The output of every dropout site of a four-cue moderator model on
+    `rng` (None: the deterministic pass): each cue encoder, fusion of each
+    cue (fed the deterministic encodings), the gate net, and the decoder
+    cell's gate mask (None when it draws none)."""
+    sub = (lambda tag: rng.child(tag)) if rng is not None else (lambda tag: None)
+    out = {f"encoder.{cue}": g.data
+           for cue, g in model.encoders.encode(batch, sub("encoders")).items()}
+    g_cues = model.encoders.encode(batch)
+    out.update({f"fusion.{cue}": mu.data
+                for cue, mu in model.fusion.fuse_all(g_cues, sub("fusion")).items()})
+    out["gate_net"] = model.moderator.gate_net.forward(Tensor(batch.image),
+                                                       sub("gate")).data
+    out["decoder.cell"] = model.decoder.cell.sample_masks(batch.size, sub("dec")).gates
+    return out
+
+
+def assert_deterministic(model, batch, rng):
+    """Every site, and the whole encode, gives the stream-free bytes on `rng`."""
+    det = dropout_sites(model, batch)
+    assert det["decoder.cell"] is None
+    assert _same_bytes(dropout_sites(model, batch, rng).values(), det.values())
+    assert model.encode(batch, rng).g_enc.data.tobytes() == \
+        model.encode(batch).g_enc.data.tobytes()
+
+
 class TestDropoutOverride:
+    def _model(self):
+        # rate 0, Gaussian: every site is off until the override turns it on
+        m = small_model(cues=ALL_CUES, p=0.0, kind="gaussian")
+        return m, make_batch(small_dataset(), range(3))
+
     def test_forces_and_restores_every_component(self):
-        m = small_model(cues=("image", "place", "caption", "tag"), p=0.0, kind="gaussian")
-        comps = m.dropout_components()
-        before = [(c.p, c.kind) for c in comps]
+        m, batch = self._model()
+        rng = RngStream(3).child("e")
+        assert_deterministic(m, batch, rng)
         with dropout_override(m, 0.4, "bernoulli"):
-            assert all(c.p == 0.4 and c.kind == "bernoulli" for c in comps)
-        assert [(c.p, c.kind) for c in comps] == before
+            det = dropout_sites(m, batch)
+            sto = dropout_sites(m, batch, rng)
+            assert sorted(sto) == sorted(
+                [f"encoder.{c}" for c in ALL_CUES]
+                + [f"fusion.{c}" for c in ALL_CUES[1:]] + ["gate_net", "decoder.cell"])
+            for site, out in sto.items():
+                if site == "decoder.cell":
+                    assert out is not None and set(np.unique(out)) == {0.0, 1.0 / 0.6}
+                else:
+                    assert not np.allclose(out, det[site]), site
+        assert_deterministic(m, batch, rng)
+
+    def test_override_makes_dropout_free_model_stochastic(self):
+        m, batch = self._model()
+        rng = RngStream(3).child("e")
+        with dropout_override(m, 0.4, "bernoulli"):
+            assert not np.allclose(m.encode(batch, rng).g_enc.data,
+                                   m.encode(batch).g_enc.data)
+        assert_deterministic(m, batch, rng)
 
     def test_restores_after_exception(self):
-        m = small_model(p=0.1)
-        comps = m.dropout_components()
-        before = [(c.p, c.kind) for c in comps]
+        m, batch = self._model()
+        rng = RngStream(4)
         with pytest.raises(RuntimeError):
             with dropout_override(m, 0.5, "gaussian"):
                 raise RuntimeError("boom")
-        assert [(c.p, c.kind) for c in comps] == before
+        assert_deterministic(m, batch, rng)
 
-    def test_override_makes_dropout_free_model_stochastic(self):
-        ds = small_dataset()
-        m = small_model(p=0.0)
-        batch = make_batch(ds, [0, 1])
-        det = m.encode(batch).g_enc.data
-        with dropout_override(m, 0.4, "bernoulli"):
-            sto = m.encode(batch, RngStream(3).child("e")).g_enc.data
-        assert not np.allclose(sto, det)
-        after = m.encode(batch, RngStream(3).child("e")).g_enc.data
-        np.testing.assert_array_equal(after, det)
+    @pytest.mark.parametrize("rate, kind", [(-0.1, "bernoulli"), (float("nan"), "bernoulli"),
+                                            (1.0, "bernoulli"), (0.4, "dropconnect")])
+    def test_bad_setting_raises_and_changes_nothing(self, rate, kind):
+        m = small_model(p=0.3, kind="gaussian")
+        with pytest.raises(ValueError, match="dropout (rate|kind)"):
+            with dropout_override(m, rate, kind):
+                pass
+        assert (m.dropout.rate, m.dropout.kind) == (0.3, "gaussian")

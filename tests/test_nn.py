@@ -35,7 +35,7 @@ def manual_lstm_step(x, h, c, wx, wh, b, gmask=None, omask=None):
 class TestBayesianMLP:
     def test_deterministic_equals_manual(self):
         rng = RngStream(0)
-        net = nn.BayesianMLP([3, 4, 2], p=0.3, kind="bernoulli", rng=rng)
+        net = nn.BayesianMLP([3, 4, 2], nn.Dropout(0.3, "bernoulli"), rng=rng)
         x = np.array([[0.5, -1.0, 2.0]])
         got = net.forward(Tensor(x)).data
         h = np.tanh(x @ net.weights[0].data + net.biases[0].data)
@@ -43,14 +43,14 @@ class TestBayesianMLP:
         assert np.allclose(got, want, rtol=1e-14)
 
     def test_p_zero_stochastic_equals_deterministic(self):
-        net = nn.BayesianMLP([3, 4, 2], p=0.0, kind="bernoulli", rng=RngStream(1))
+        net = nn.BayesianMLP([3, 4, 2], nn.Dropout(0.0, "bernoulli"), rng=RngStream(1))
         x = Tensor(np.ones((2, 3)))
         a = net.forward(x, rng=RngStream(5)).data
         b = net.forward(x).data
         assert np.array_equal(a, b)
 
     def test_same_stream_state_reproduces_stochastic_pass(self):
-        net = nn.BayesianMLP([3, 8, 2], p=0.5, kind="bernoulli", rng=RngStream(2))
+        net = nn.BayesianMLP([3, 8, 2], nn.Dropout(0.5, "bernoulli"), rng=RngStream(2))
         x = Tensor(np.ones((4, 3)))
         a = net.forward(x, rng=RngStream(7, stream=3)).data
         b = net.forward(x, rng=RngStream(7, stream=3)).data
@@ -60,12 +60,12 @@ class TestBayesianMLP:
 
     def test_dropout_applied_before_first_layer(self):
         # with the input mask all-zero the first affine sees zeros exactly
-        net = nn.BayesianMLP([2, 2], p=0.5, kind="bernoulli", rng=RngStream(3))
+        net = nn.BayesianMLP([2, 2], nn.Dropout(0.5, "bernoulli"), rng=RngStream(3))
         x = np.array([[3.0, -4.0]])
         found_zero_mask = False
         for tag in range(200):
             r = RngStream(8, stream=tag)
-            mask = ad.dropout_mask((1, 2), 0.5, "bernoulli", r.child(("drop", 0)))
+            mask = net.dropout.mask((1, 2), r.child(("drop", 0)))
             if np.all(mask == 0.0):
                 got = net.forward(Tensor(x), rng=r).data
                 assert np.allclose(got, net.biases[0].data[None, :])
@@ -74,7 +74,7 @@ class TestBayesianMLP:
         assert found_zero_mask
 
     def test_init_bounds(self):
-        net = nn.BayesianMLP([100, 50], p=0.0, kind="bernoulli", rng=RngStream(4))
+        net = nn.BayesianMLP([100, 50], nn.Dropout(0.0, "bernoulli"), rng=RngStream(4))
         w = net.weights[0].data
         bound = 1.0 / np.sqrt(100)
         assert np.all(np.abs(w) <= bound)
@@ -82,7 +82,7 @@ class TestBayesianMLP:
         assert np.array_equal(net.biases[0].data, np.zeros(50))
 
     def test_gradients_match_fd_with_frozen_masks(self):
-        net = nn.BayesianMLP([3, 5, 2], p=0.4, kind="bernoulli", rng=RngStream(5))
+        net = nn.BayesianMLP([3, 5, 2], nn.Dropout(0.4, "bernoulli"), rng=RngStream(5))
         x = Tensor(np.linspace(-1, 1, 6).reshape(2, 3))
         rng_state = (11, 9)
 
@@ -96,7 +96,7 @@ class TestBayesianMLP:
 
 class TestBayesianLSTMCell:
     def test_zero_everything_gives_zero_hidden(self):
-        cell = nn.BayesianLSTMCell(2, 3, p=0.0, kind="bernoulli", rng=RngStream(0))
+        cell = nn.BayesianLSTMCell(2, 3, nn.Dropout(0.0, "bernoulli"), rng=RngStream(0))
         for t in (cell.wx, cell.wh, cell.b):
             t.data = np.zeros_like(t.data)
         inputs = [Tensor(np.zeros((2, 2))) for _ in range(4)]
@@ -105,7 +105,7 @@ class TestBayesianLSTMCell:
         assert np.array_equal(h.data, np.zeros((2, 3)))
 
     def test_single_step_matches_manual(self):
-        cell = nn.BayesianLSTMCell(3, 4, p=0.0, kind="bernoulli", rng=RngStream(1))
+        cell = nn.BayesianLSTMCell(3, 4, nn.Dropout(0.0, "bernoulli"), rng=RngStream(1))
         x = np.array([[0.3, -0.7, 1.1]])
         h0 = np.array([[0.1, 0.2, -0.1, 0.0]])
         c0 = np.array([[0.05, -0.2, 0.3, 0.4]])
@@ -115,7 +115,7 @@ class TestBayesianLSTMCell:
         assert np.allclose(got_c.data, want_c, rtol=1e-14)
 
     def test_masks_tied_across_timesteps(self):
-        cell = nn.BayesianLSTMCell(2, 5, p=0.5, kind="bernoulli", rng=RngStream(2))
+        cell = nn.BayesianLSTMCell(2, 5, nn.Dropout(0.5, "bernoulli"), rng=RngStream(2))
         rng = RngStream(3)
         x = np.array([[1.0, -1.0]])
         inputs = [Tensor(x) for _ in range(3)]
@@ -130,14 +130,14 @@ class TestBayesianLSTMCell:
         assert np.allclose(h.data, hh, rtol=1e-12)
 
     def test_sequence_draws_masks_once_from_stream(self):
-        cell = nn.BayesianLSTMCell(2, 4, p=0.5, kind="bernoulli", rng=RngStream(4))
+        cell = nn.BayesianLSTMCell(2, 4, nn.Dropout(0.5, "bernoulli"), rng=RngStream(4))
         inputs = [Tensor(np.ones((2, 2))) for _ in range(4)]
         _, a = cell.sequence(inputs, rng=RngStream(9, stream=1))
         _, b = cell.sequence(inputs, rng=RngStream(9, stream=1))
         assert np.array_equal(a.data, b.data)
 
     def test_gradients_match_fd_with_frozen_masks(self):
-        cell = nn.BayesianLSTMCell(2, 3, p=0.3, kind="bernoulli", rng=RngStream(6))
+        cell = nn.BayesianLSTMCell(2, 3, nn.Dropout(0.3, "bernoulli"), rng=RngStream(6))
         inputs = [Tensor(np.array([[0.5, -0.2], [0.1, 0.8]])) for _ in range(3)]
         rng = RngStream(10)
         masks = cell.sample_masks(2, rng)
@@ -165,8 +165,9 @@ class TestLstmStep:
     """The fused op, against the straight-line oracle and central differences."""
 
     def _masks(self, kind):
-        gates = ad.dropout_mask((3, 12), 0.3, kind, RngStream(21).child("gates"))
-        out = ad.dropout_mask((3, 3), 0.3, kind, RngStream(21).child("out"))
+        drop = nn.Dropout(0.3, kind)
+        gates = drop.mask((3, 12), RngStream(21).child("gates"))
+        out = drop.mask((3, 3), RngStream(21).child("out"))
         return gates, out
 
     def test_values_match_manual_with_masks(self):
@@ -266,8 +267,7 @@ class TestMcPredict:
         x = np.array([1.0, -2.0, 0.5, 3.0])
 
         def f(r):
-            return np.tile(x, 10000) * ad.dropout_mask((10000 * x.size,), p,
-                                                       "bernoulli", r)
+            return np.tile(x, 10000) * nn.Dropout(p, "bernoulli").mask((10000 * x.size,), r)
 
         stats = nn.mc_predict(f, 10000, RngStream(2))
         want = x * x * p / (1 - p)
@@ -288,11 +288,11 @@ class TestMcPredict:
         assert all(np.array_equal(s, t) for s, t in zip(samples, reversed(rev)))
 
     def test_variance_grows_with_rate(self):
-        net = nn.BayesianMLP([4, 16, 4], p=0.1, kind="bernoulli", rng=RngStream(4))
+        net = nn.BayesianMLP([4, 16, 4], nn.Dropout(0.1, "bernoulli"), rng=RngStream(4))
         x = Tensor(RngStream(5).normal((10, 4)))
 
         def run(p):
-            net.p = p
+            net.dropout.rate = p
             stacked = Tensor(np.tile(x.data, (200, 1)))
             return nn.mc_predict(lambda r: net.forward(stacked, rng=r),
                                  200, RngStream(6)).variance.mean()

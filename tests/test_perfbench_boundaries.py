@@ -15,7 +15,7 @@ import pytest
 
 from mcvqg.autodiff import Tensor
 from mcvqg.decoder import Decoder
-from mcvqg.nn import EmbeddingTable
+from mcvqg.nn import Dropout, EmbeddingTable
 from mcvqg.rng import RngStream
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -51,7 +51,7 @@ def test_encode_keeps_the_stochastic_keyword(tracing):
 
 def test_generate_mc_returns_what_the_token_hook_unpacks(tracing):
     rng = RngStream(3)
-    dec = Decoder(4, 3, 5, 9, 0.3, "bernoulli", rng.child("dec"),
+    dec = Decoder(4, 3, 5, 9, Dropout(0.3, "bernoulli"), rng.child("dec"),
                   EmbeddingTable(9, 3, rng.child("emb")))
     out = tracing.train.generate_mc(dec, lambda rows: Tensor(np.zeros((3, 4))),
                                     T=3, max_len=4, rng=rng.child("mc"))

@@ -22,6 +22,8 @@ from mcvqg.train import (TrainingDiverged, build_model, curve_to_csv,
                          teacher_loss, tokens_to_words, train_and_save,
                          train_model, variance_csv, variance_records)
 
+from test_model import assert_deterministic
+
 IMAGE_DIM = 24
 PLACE_DIM = 8
 
@@ -559,13 +561,12 @@ class TestVarianceRecords:
             np.testing.assert_array_equal(r.mc_mean, r.deterministic)
 
     def test_rate_override_probes_and_restores(self):
-        cfg = tiny_config(dropout={"rate": 0.0, "kind": "gaussian"})
+        cfg = tiny_config(cues=ALL_CUES, dropout={"rate": 0.0, "kind": "gaussian"})
         model = build_model(cfg, DS)
         records = variance_records(model, DS, [0, 1], T=4,
                                    rng=RngStream(0).child("v"), sample_rate=0.4)
         assert all(r.normalized_variance > 0.0 for r in records)
-        assert all(c.p == 0.0 and c.kind == "gaussian"
-                   for c in model.dropout_components())
+        assert_deterministic(model, make_batch(DS, range(3)), RngStream(5))
 
     def test_mc_mean_matches_batch1_encodes(self):
         cfg = tiny_config()
