@@ -16,8 +16,9 @@ d(mixed encoding) off an interior node, extends the tape and sweeps again.
 
 Most ops record one node per output tensor. A fused op replaces a chain
 with one node and a hand-written backward: `lrt_log_likelihood` scores a
-whole noise slab, and `lstm_step` returns (h', c') as one two-output node
-whose backward takes both output gradients. It counts as one in `len(tape)`.
+whole noise slab, `row_dots` and `weighted_sum` take every moderator cue at
+once, and `lstm_step` returns (h', c') as one two-output node whose backward
+takes both output gradients. It counts as one in `len(tape)`.
 """
 
 import threading
@@ -319,27 +320,6 @@ def concat(parts, axis: int) -> Tensor:
     return _make(out, tuple(parts), backward_fn)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.data.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.data.shape}")
-
-    def backward_fn(g):
-        buf = np.zeros_like(x.data)
-        buf[:, start:stop] = g
-        _accum(x, buf)
-
-    return _make(x.data[:, start:stop].copy(), (x,), backward_fn)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward_fn(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return _make(x.data.reshape(shape), (x,), backward_fn)
-
-
 def _check_ids(op: str, ids: np.ndarray, count: int, what: str):
     """Raise IndexError unless every id is in [0, count): numpy would wrap a
     negative id to an entry from the end."""
@@ -381,29 +361,48 @@ def gather_cols(x: Tensor, ids) -> Tensor:
     return _make(x.data[rows, ids], (x,), backward_fn)
 
 
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise inner product of two (B, n) matrices -> (B,)."""
-    _check_same_shape("dot_rows", a, b)
-    if a.data.ndim != 2:
-        raise ShapeError(f"dot_rows: need 2-D inputs, got {a.data.shape}")
+def _check_parts(op: str, parts, shape):
+    if len(shape) != 2 or not parts or any(p.data.shape != shape for p in parts):
+        raise ShapeError(f"{op}: parts {[p.data.shape for p in parts]}, expected {shape}")
+
+
+def row_dots(parts, g: Tensor) -> Tensor:
+    """(B, k) gate scores: column j is the row-wise inner product of the
+    (B, n) matrices parts[j] and g. The backward runs from the last part to
+    the first, the order in which a sweep meets k per-part nodes, so g's
+    gradient sums in that order."""
+    parts, gd = list(parts), g.data
+    _check_parts("row_dots", parts, gd.shape)
+    out = np.stack([(p.data * gd).sum(axis=1) for p in parts], axis=1)
+
+    def backward_fn(grad):
+        for j in reversed(range(len(parts))):
+            _accum(parts[j], grad[:, j:j + 1] * gd)
+            _accum(g, grad[:, j:j + 1] * parts[j].data)
+
+    return _make(out, (*parts, g), backward_fn)
+
+
+def weighted_sum(w: Tensor, parts) -> Tensor:
+    """sum_j w[:, j] * parts[j] over (B, n) parts, added in part order. The
+    backward adds into w one zero-padded column per part, last part first,
+    which is how k single-column terms sum, bit for bit."""
+    parts, wd = list(parts), w.data
+    _check_parts("weighted_sum", parts, parts[0].data.shape if parts else ())
+    if wd.shape != (parts[0].data.shape[0], len(parts)):
+        raise ShapeError(f"weighted_sum: weights {wd.shape} for {len(parts)} parts")
+    out = parts[0].data * wd[:, :1]
+    for j in range(1, len(parts)):
+        out = out + parts[j].data * wd[:, j:j + 1]
 
     def backward_fn(g):
-        _accum(a, g[:, None] * b.data)
-        _accum(b, g[:, None] * a.data)
+        for j in reversed(range(len(parts))):
+            _accum(parts[j], g * wd[:, j:j + 1])
+            buf = np.zeros_like(wd)
+            buf[:, j] = (g * parts[j].data).sum(axis=1)
+            _accum(w, buf)
 
-    return _make((a.data * b.data).sum(axis=1), (a, b), backward_fn)
-
-
-def colscale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale row b of a (B, n) matrix by scalar s[b]."""
-    if x.data.ndim != 2 or s.data.shape != (x.data.shape[0],):
-        raise ShapeError(f"colscale: x {x.data.shape}, s {s.data.shape}")
-
-    def backward_fn(g):
-        _accum(x, g * s.data[:, None])
-        _accum(s, (g * x.data).sum(axis=1))
-
-    return _make(x.data * s.data[:, None], (x, s), backward_fn)
+    return _make(out, (w, *parts), backward_fn)
 
 
 def row_softmax(x: Tensor) -> Tensor:

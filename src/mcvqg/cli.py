@@ -32,6 +32,14 @@ class CliError(Exception):
         super().__init__(message)
 
 
+def _check_counts(**counts):
+    """Reject a count flag below 1 before any work is done."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise CliError("USAGE_INVALID",
+                           f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
 def _read_config(args) -> RunConfig:
     path = args.config
     if not os.path.exists(path):
@@ -111,9 +119,13 @@ def _train(cfg, dataset, out_dir, log=None):
 
 
 def cmd_gen_data(args) -> int:
-    ds = synth_generate(args.n, args.seed, image_dim=args.image_dim,
-                        place_dim=args.place_dim, noise=args.noise,
-                        questions_per=args.questions_per)
+    _check_counts(n=args.n)
+    try:
+        ds = synth_generate(args.n, args.seed, image_dim=args.image_dim,
+                            place_dim=args.place_dim, noise=args.noise,
+                            questions_per=args.questions_per)
+    except ValueError as e:
+        raise CliError("USAGE_INVALID", str(e)) from e
     save_dataset(args.out, ds)
     print(f"wrote {args.n} examples to {args.out} "
           f"(vocab {len(ds.vocab.tokens)} tokens)")
@@ -156,6 +168,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_counts(n=args.n, mc_samples=args.mc_samples)
     cfg = _read_config(args)
     dataset = _read_dataset(cfg.dataset)
     model, _ = _restore_model(cfg, dataset, args.checkpoint)
@@ -183,6 +196,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_variance(args) -> int:
+    _check_counts(n=args.n)
     cfg = _read_config(args)
     dataset = _read_dataset(cfg.dataset)
     model, _ = _restore_model(cfg, dataset, args.checkpoint)
@@ -245,8 +259,7 @@ def cmd_sweep(args) -> int:
         raise CliError("MANIFEST_INVALID", "sweep axes produce duplicate runs")
     dataset = _read_dataset(base.dataset)
     os.makedirs(args.out, exist_ok=True)
-    summary = ["name," + ",".join(keys) +
-               ",bleu1,bleu2,bleu3,bleu4,rouge_l,cider"]
+    rows = []
     for name, combo in zip(names, combos):
         try:
             cfg = apply_overrides(base, dict(zip(keys, combo)))
@@ -262,14 +275,14 @@ def cmd_sweep(args) -> int:
         report, _ = evaluate_model(result.model, dataset, eval_idx, cfg=cfg)
         with atomic_write(os.path.join(run_dir, "report.csv")) as fh:
             fh.write(report.to_csv())
-        scores = ",".join(f"{report.bleu[n]:.6f}" for n in range(1, 5))
-        summary.append(f"{name}," +
-                       ",".join(_format_axis_value(v) for v in combo) +
-                       f",{scores},{report.rouge_l:.6f},{report.cider:.6f}")
+        scores = report.score_rows()
+        rows.append(",".join([name, *map(_format_axis_value, combo),
+                              *(f"{value:.6f}" for _, value in scores)]))
         print(f"{name}: bleu1 {report.bleu[1]:.2f} rouge {report.rouge_l:.2f} "
               f"cider {report.cider:.2f}")
+    header = ",".join(["name", *keys, *(score for score, _ in scores)])
     with atomic_write(os.path.join(args.out, "sweep.csv")) as fh:
-        fh.write("\n".join(summary) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
     print(f"wrote {len(combos)} runs to {args.out}")
     return 0
 

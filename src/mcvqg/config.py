@@ -1,13 +1,14 @@
 """Run configuration: one strict dataclass tree mirroring the config file.
 
 Parsing rejects unknown keys outright (a typo never becomes a silent
-default) and `validate` enforces the structural invariants. A rate of 0
-turns dropout off; the named variants of the ablation grid are plain field
-overrides (see the README).
+default) and any value not of its field's type, and `validate` enforces the
+structural invariants. A rate of 0 turns dropout off; the named variants of
+the ablation grid are plain field overrides (see the README).
 """
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .data import atomic_write
@@ -57,6 +58,11 @@ class RunConfig:
         self.dropout.validate()
         if self.optimizer.algorithm not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        for name, value in (("optimizer.learning_rate", self.optimizer.learning_rate),
+                            ("mumc.alpha", self.mumc.alpha), ("mumc.gamma", self.mumc.gamma),
+                            ("mumc.uncertainty_weight", self.mumc.uncertainty_weight)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.optimizer.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.optimizer.epochs < 1 or self.optimizer.batch_size < 1:
@@ -67,6 +73,14 @@ class RunConfig:
         if self.decision_mode not in DECISION_MODES:
             raise ValueError(f"decision mode must be one of {DECISION_MODES}")
         return self
+
+
+def _check_type(where: str, ftype, value):
+    """A JSON scalar against its field's type: a float field takes an int
+    too, and a bool is neither an int nor a float."""
+    allowed = (int, float) if ftype is float else (ftype,)
+    if isinstance(value, bool) != (ftype is bool) or not isinstance(value, allowed):
+        raise ValueError(f"{where} must be of type {ftype.__name__}, got {value!r}")
 
 
 def _from_dict(cls, data, path):
@@ -81,15 +95,16 @@ def _from_dict(cls, data, path):
     kwargs = {}
     for name, value in data.items():
         ftype = fields[name].type
-        nested = {"dropout": Dropout, "optimizer": OptimizerConfig,
-                  "mumc": MumcConfig}.get(name)
-        if nested is not None:
-            kwargs[name] = _from_dict(nested, value, f"{path}.{name}" if path else name)
-        elif name == "cues":
-            if not isinstance(value, (list, tuple)):
-                raise ValueError("cues must be a list")
+        where = f"{path}.{name}" if path else name
+        if dataclasses.is_dataclass(ftype):
+            kwargs[name] = _from_dict(ftype, value, where)
+        elif ftype is tuple:
+            if not isinstance(value, (list, tuple)) or not all(isinstance(c, str)
+                                                               for c in value):
+                raise ValueError(f"{where} must be a list of strings, got {value!r}")
             kwargs[name] = tuple(value)
         else:
+            _check_type(where, ftype, value)
             kwargs[name] = value
     return cls(**kwargs)
 

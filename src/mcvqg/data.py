@@ -305,7 +305,7 @@ def load_dataset(path) -> Dataset:
     """Read a JSONL dataset; malformed lines (a header vocab that repeats a
     token, an empty caption, a non-finite or non-numeric feature, or a scene
     that is not an object of the five slots among them) raise ValueError
-    with their line number."""
+    with their line number, and so does a header with no examples after it."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -371,4 +371,6 @@ def load_dataset(path) -> Dataset:
         bundles.append(CueBundle(id=bid, image_feat=image_feat, place_feat=place_feat,
                                  caption=caption, tags=tags, questions=questions,
                                  scene=scene))
+    if not bundles:
+        raise ValueError("dataset has a header but no examples")
     return Dataset(vocab=vocab, bundles=bundles, image_dim=image_dim, place_dim=place_dim)

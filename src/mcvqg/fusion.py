@@ -4,11 +4,11 @@ Each non-image cue is fused with the image embedding,
 
     mu_B = dropout(tanh(W_i g_i * W_B g_B + b_B)) @ W_BB   (* elementwise),
 
-with W_i shared across cues. The moderator scores each fused cue against a
-gating embedding computed from the raw image features, softmaxes the scores
-into expert weights pi, and mixes g_enc = sum_B pi_B mu_B. A plain
-concatenation+projection combiner stands in for the moderator in the
-mixture ablations.
+with W_i shared across cues. The moderator scores every fused cue against a
+gating embedding computed from the raw image features (one `row_dots` node),
+softmaxes the scores into expert weights pi, and mixes g_enc = sum_B pi_B mu_B
+(one `weighted_sum` node). A plain concatenation+projection combiner stands
+in for the moderator in the mixture ablations.
 """
 
 import numpy as np
@@ -72,36 +72,28 @@ class Moderator:
         self.gate_net = BayesianMLP([image_dim, dim, dim], dropout, rng.child("gate_net"))
 
     def gate(self, mus: dict, image_feats: Tensor, rng: RngStream = None):
-        """Returns (pi (B,k), cue order); the scores are taken against the
-        fused embeddings themselves. The gate net's dropout is on exactly
-        when `rng` is given."""
+        """Returns (pi (B,k), cue order); the scores are the inner products
+        of the fused embeddings themselves with the gate net's output, whose
+        dropout is on exactly when `rng` is given."""
         order = tuple(mus.keys())
         if not order:
             raise ValueError("moderator needs at least one active cue")
         g_gat = self.gate_net.forward(image_feats, rng.child("gate") if rng else None)
-        cols = []
-        for cue in order:
-            s = ad.dot_rows(mus[cue], g_gat)
-            cols.append(ad.reshape(s, (s.shape[0], 1)))
-        return ad.row_softmax(ad.concat(cols, axis=1)), order
+        return ad.row_softmax(ad.row_dots([mus[c] for c in order], g_gat)), order
 
     def named_params(self, prefix: str = "moderator"):
         return self.gate_net.named_params(f"{prefix}.gate")
 
 
 def mix_encoding(pi: Tensor, mus: dict, order) -> Tensor:
-    """g_enc = sum_B pi_B mu_B; rejects weights off the simplex."""
+    """g_enc = sum_B pi_B mu_B, summed in cue order; rejects weights off the
+    simplex."""
     p = pi.data
     if p.ndim != 2 or p.shape[1] != len(order):
         raise ad.ShapeError(f"pi {p.shape} does not match {len(order)} cues")
     if np.any(p < -SIMPLEX_TOL) or np.any(np.abs(p.sum(axis=1) - 1.0) > SIMPLEX_TOL):
         raise ValueError(f"mixture weights violate the simplex beyond {SIMPLEX_TOL}")
-    g_enc = None
-    for j, cue in enumerate(order):
-        w = ad.reshape(ad.slice_cols(pi, j, j + 1), (p.shape[0],))
-        term = ad.colscale(mus[cue], w)
-        g_enc = term if g_enc is None else ad.add(g_enc, term)
-    return g_enc
+    return ad.weighted_sum(pi, [mus[c] for c in order])
 
 
 class MixtureCombiner:

@@ -12,7 +12,7 @@ from mcvqg.autodiff import ShapeError, Tape, Tensor
 from mcvqg.nn import Dropout
 from mcvqg.rng import RngStream
 
-from loss_helpers import total
+from loss_helpers import reshaped, total
 
 
 def fd_grad(f, x, h=1e-6):
@@ -386,8 +386,7 @@ class TestStructuralOps:
         ids = np.array([1, 4, 0])
 
         def build():
-            a = ad.slice_cols(x, 1, 4)
-            b = ad.concat([a, a], axis=0)
+            b = ad.concat([x, x], axis=0)
             d = ad.row_softmax(b)
             e = ad.gather_cols(x, ids)
             return ad.add(total(d), total(ad.mul(e, e)))
@@ -396,8 +395,7 @@ class TestStructuralOps:
         got = x.grad.copy()
 
         def value():
-            a = x.data[:, 1:4]
-            b = np.tile(a, (2, 1))
+            b = np.tile(x.data, (2, 1))
             z = b - b.max(axis=1, keepdims=True)
             p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
             e = x.data[np.arange(3), ids]
@@ -418,19 +416,6 @@ class TestStructuralOps:
         expect[1] = 2.0
         expect[3] = 1.0
         assert np.array_equal(table.grad, expect)
-
-    def test_dot_rows_and_colscale(self):
-        rng = np.random.default_rng(6)
-        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        s = Tensor(rng.normal(size=4), requires_grad=True)
-        run_backward(lambda: total(ad.colscale(ad.mul(a, b), s)))
-
-        def value():
-            return ((a.data * b.data) * s.data[:, None]).sum()
-
-        assert np.allclose(a.grad, fd_grad(value, a.data), rtol=1e-6, atol=1e-8)
-        assert np.allclose(s.grad, fd_grad(value, s.data), rtol=1e-6, atol=1e-8)
 
     def test_log_mean_exp_rows_value_and_grad(self):
         # the MC average of lrt_log_likelihood: log of the mean over draws
@@ -516,6 +501,135 @@ class TestMaskedStepSum:
             ad.masked_step_sum(Tensor(np.zeros(6)), np.ones(6))
 
 
+def _old_dot_rows(a, b):
+    """Row-wise inner product of two (B, n) matrices -> (B,)."""
+    def backward_fn(g):
+        ad._accum(a, g[:, None] * b.data)
+        ad._accum(b, g[:, None] * a.data)
+
+    return ad._make((a.data * b.data).sum(axis=1), (a, b), backward_fn)
+
+
+def _old_colscale(x, s):
+    """Row b of a (B, n) matrix times the scalar s[b]."""
+    def backward_fn(g):
+        ad._accum(x, g * s.data[:, None])
+        ad._accum(s, (g * x.data).sum(axis=1))
+
+    return ad._make(x.data * s.data[:, None], (x, s), backward_fn)
+
+
+def _old_slice_cols(x, start, stop):
+    def backward_fn(g):
+        buf = np.zeros_like(x.data)
+        buf[:, start:stop] = g
+        ad._accum(x, buf)
+
+    return ad._make(x.data[:, start:stop].copy(), (x,), backward_fn)
+
+
+def _old_row_dots(parts, g):
+    """The per-part chain `row_dots` replaced: a dot and a reshape per part,
+    then one concat."""
+    cols = []
+    for p in parts:
+        s = _old_dot_rows(p, g)
+        cols.append(reshaped(s, (s.shape[0], 1)))
+    return ad.concat(cols, axis=1)
+
+
+def _old_weighted_sum(w, parts):
+    """The per-part chain `weighted_sum` replaced: slice, reshape and scale
+    per part, then one add per part after the first."""
+    out = None
+    for j, p in enumerate(parts):
+        term = _old_colscale(p, reshaped(_old_slice_cols(w, j, j + 1), (w.shape[0],)))
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+class TestRowMixtureOps:
+    def _inputs(self, rng, k, batch=3, dim=4, scale=1.0):
+        parts = [Tensor(rng.normal(size=(batch, dim)) * scale, requires_grad=True)
+                 for _ in range(k)]
+        g = Tensor(rng.normal(size=(batch, dim)) * scale, requires_grad=True)
+        raw = rng.uniform(0.1, 1.0, (batch, k))
+        w = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
+        return parts, g, w
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grad_check(self, k):
+        rng = np.random.default_rng(20 + k)
+        parts, g, w = self._inputs(rng, k)
+        if k > 1:
+            assert len(set(w.data[0].tolist())) == k     # unequal weights
+        c = Tensor(rng.normal(size=(3, k)))
+        assert ad.grad_check(lambda: total(ad.mul(ad.tanh(ad.row_dots(parts, g)), c)),
+                             [*parts, g]) <= 1e-6
+        d = Tensor(rng.normal(size=(3, 4)))
+        assert ad.grad_check(lambda: total(ad.mul(ad.tanh(ad.weighted_sum(w, parts)), d)),
+                             [w, *parts]) <= 1e-6
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("prefill", [False, True])
+    def test_bitwise_equal_to_the_old_chain(self, k, prefill):
+        # the moderator's gate and mixture, leaves prefilled or not; zeros in
+        # the loss weights and a negative sign put signed zeros in the sweep
+        for seed in range(6):
+            rng = np.random.default_rng(100 * k + seed)
+            batch, dim = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            parts0 = [rng.normal(size=(batch, dim)) * scale for _ in range(k)]
+            g0 = rng.normal(size=(batch, dim)) * scale
+            c = Tensor(rng.normal(size=(batch, dim)) * (rng.uniform(size=(batch, dim)) < 0.6))
+            filled = [rng.normal(size=(batch, dim)) for _ in range(k + 1)]
+            sign = float(rng.choice([1.0, -1.0]))
+            results = []
+            for scores_op, mix_op in ((_old_row_dots, _old_weighted_sum),
+                                      (ad.row_dots, ad.weighted_sum)):
+                parts = [Tensor(p, requires_grad=True) for p in parts0]
+                g = Tensor(g0, requires_grad=True)
+                if prefill:
+                    for t, f in zip([*parts, g], filled):
+                        t.grad = f.copy()
+                with Tape() as tape:
+                    pi = ad.row_softmax(scores_op(parts, g))
+                    mixed = mix_op(pi, parts)
+                    loss = ad.scale(total(ad.mul(mixed, c)), sign)
+                tape.backward(loss)
+                results.append([pi.data.tobytes(), mixed.data.tobytes(), pi.grad.tobytes()]
+                               + [t.grad.tobytes() for t in (*parts, g)])
+            assert results[0] == results[1]
+
+    def test_weighted_sum_into_a_prefilled_leaf_weight(self):
+        rng = np.random.default_rng(30)
+        parts0 = [rng.normal(size=(2, 3)) for _ in range(3)]
+        w0 = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+        filled = np.array([[-0.0, 1.5, -0.0], [2.0, -0.0, -0.0]])
+        c = Tensor(np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]]))
+        results = []
+        for op in (_old_weighted_sum, ad.weighted_sum):
+            parts = [Tensor(p, requires_grad=True) for p in parts0]
+            w = Tensor(w0, requires_grad=True)
+            w.grad = filled.copy()
+            run_backward(lambda: ad.scale(total(ad.mul(op(w, parts), c)), -1.0))
+            results.append([w.grad.tobytes()] + [p.grad.tobytes() for p in parts])
+        assert results[0] == results[1]
+
+    def test_shape_errors(self):
+        a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))
+        for parts, g in (([], a), ([a, b], a), ([a], Tensor(np.zeros(3)))):
+            with pytest.raises(ShapeError, match="row_dots"):
+                ad.row_dots(parts, g)
+        for w, parts in ((Tensor(np.ones((2, 1))), []),
+                         (Tensor(np.ones((2, 2))), [a, b]),
+                         (Tensor(np.ones((2, 1))), [a, a]),
+                         (Tensor(np.ones((3, 2))), [a, a]),
+                         (Tensor(np.ones(2)), [a, a])):
+            with pytest.raises(ShapeError, match="weighted_sum"):
+                ad.weighted_sum(w, parts)
+
+
 def _old_lrt_sample(y, v, eps):
     """tile(y) + eps * tile(sqrt(v)) over (T*N, V) noise: the reparameterization
     op the aleatoric loss used before its likelihood became one node."""
@@ -549,7 +663,7 @@ def _old_lrt_log_likelihood(y, v, eps, targets):
     reps, rows, cols = eps.shape
     y_hat = _old_lrt_sample(y, v, eps.reshape(reps * rows, cols))
     lp = ad.sub(ad.gather_cols(y_hat, np.tile(targets, reps)), ad.row_logsumexp(y_hat))
-    return _old_log_mean_exp_rows(ad.reshape(lp, (reps, rows)))
+    return _old_log_mean_exp_rows(reshaped(lp, (reps, rows)))
 
 
 class TestLrtLogLikelihood:

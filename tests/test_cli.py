@@ -62,6 +62,15 @@ class TestGenData:
         main(["gen-data", "--n", "6", "--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "3", "--image-dim", "5"],
+                                       ["--n", "3", "--questions-per", "9"]])
+    def test_bad_count_is_one_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "d.jsonl"
+        assert main(["gen-data", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR USAGE_INVALID: "), err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_run_artifacts(self, workspace):
@@ -213,6 +222,36 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("ERROR CONFIG_INVALID:")
 
+    @pytest.mark.parametrize("setting", [{"enc_dim": "8"},
+                                         {"optimizer": {"epochs": True, "batch_size": 4}},
+                                         {"mumc_enabled": 1},
+                                         {"dropout": {"rate": "0.3"}},
+                                         {"mumc": {"mc_samples": 3, "gamma": float("nan")}},
+                                         {"optimizer": {"learning_rate": float("inf")}}])
+    def test_mistyped_or_nonfinite_value_is_one_config_error(self, workspace, tmp_path,
+                                                             capsys, setting):
+        cfg = write_config(tmp_path / "cfg.json", workspace / "data.jsonl",
+                           tmp_path / "run", **setting)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR CONFIG_INVALID:"), err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sample", "variance"])
+    def test_dataset_without_examples_is_one_dataset_error(self, workspace, tmp_path,
+                                                           capsys, command):
+        data = tmp_path / "empty.jsonl"
+        data.write_text((workspace / "data.jsonl").read_text().splitlines()[0] + "\n")
+        cfg = write_config(tmp_path / "cfg.json", data, tmp_path / "run")
+        argv = [command, "--config", str(cfg)]
+        if command != "train":
+            argv += ["--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR DATASET_INVALID:"), err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
 
 class TestEval:
     def test_writes_report_and_scores(self, workspace, tmp_path, capsys):
@@ -315,6 +354,17 @@ class TestSample:
             assert rec["epistemic"] >= 0.0
             assert rec["predictive"] >= rec["aleatoric"]
 
+    @pytest.mark.parametrize("flags", [["--mc-samples", "0"], ["--mc-samples", "-2"],
+                                       ["--n", "0"]])
+    def test_bad_count_is_one_usage_error(self, workspace, tmp_path, capsys, flags):
+        out = tmp_path / "samples.jsonl"
+        assert main(["sample", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR USAGE_INVALID: "), err
+        assert not out.exists()
+
 
 class TestVariance:
     def test_writes_csv(self, workspace, tmp_path):
@@ -325,6 +375,15 @@ class TestVariance:
         lines = out.read_text().splitlines()
         assert lines[0] == "id,normalized_variance"
         assert len(lines) == 4
+
+    def test_no_examples_is_a_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert main(["variance", "--config", str(workspace / "cfg.json"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--n", "0", "--mc-samples", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR USAGE_INVALID: "), err
+        assert not out.exists()
 
     def test_single_sample_is_a_usage_error(self, workspace, tmp_path, capsys):
         assert main(["variance", "--config", str(workspace / "cfg.json"),
@@ -392,6 +451,13 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(manifest),
                      "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")
+
+    def test_mistyped_axis_value_rejected(self, workspace, tmp_path, capsys):
+        manifest = self.manifest(workspace, tmp_path, {"enc_dim": ["8"]})
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR MANIFEST_INVALID:"), err
 
     def test_unknown_axis_key_rejected(self, workspace, tmp_path, capsys):
         manifest = self.manifest(workspace, tmp_path, {"sparkle": [1, 2]})

@@ -93,6 +93,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="uncertainty weight"):
             cfg.validate()
 
+    @pytest.mark.parametrize("section,field", [("optimizer", "learning_rate"),
+                                               ("mumc", "alpha"), ("mumc", "gamma"),
+                                               ("mumc", "uncertainty_weight")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_knobs_rejected(self, section, field, value):
+        cfg = RunConfig()
+        setattr(getattr(cfg, section), field, value)
+        with pytest.raises(ValueError, match=f"{section}.{field} must be finite"):
+            cfg.validate()
+
     def test_val_fraction_bounds(self):
         with pytest.raises(ValueError, match="fraction"):
             RunConfig(val_fraction=1.0).validate()
@@ -126,6 +136,27 @@ class TestParsing:
     def test_cues_must_be_a_list(self):
         with pytest.raises(ValueError, match="cues"):
             config_from_dict({"cues": "image"})
+        with pytest.raises(ValueError, match="cues must be a list of strings"):
+            config_from_dict({"cues": ["image", 3]})
+
+    @pytest.mark.parametrize("data,where", [
+        ({"enc_dim": "8"}, "enc_dim"), ({"enc_dim": 8.0}, "enc_dim"),
+        ({"seed": True}, "seed"), ({"optimizer": {"epochs": True}}, "optimizer.epochs"),
+        ({"mumc": {"mc_samples": 2.5}}, "mumc.mc_samples"),
+        ({"val_fraction": "0.1"}, "val_fraction"), ({"val_fraction": False}, "val_fraction"),
+        ({"dropout": {"rate": "0.3"}}, "dropout.rate"), ({"mumc_enabled": 1}, "mumc_enabled"),
+        ({"mumc_enabled": "true"}, "mumc_enabled"), ({"combiner": 3}, "combiner"),
+        ({"dropout": {"kind": True}}, "dropout.kind"), ({"dataset": None}, "dataset")])
+    def test_value_of_the_wrong_type_is_rejected(self, data, where):
+        with pytest.raises(ValueError, match=f"^{where} must be of type"):
+            config_from_dict(data)
+
+    def test_int_in_a_float_field_is_kept_as_given(self):
+        cfg = config_from_dict({"val_fraction": 0, "optimizer": {"learning_rate": 1},
+                                "mumc": {"gamma": 2}, "mumc_enabled": False})
+        assert cfg.val_fraction == 0 and cfg.optimizer.learning_rate == 1
+        assert cfg.mumc.gamma == 2 and cfg.mumc_enabled is False
+        cfg.validate()
 
     def test_round_trip_identity(self):
         cfg = RunConfig(cues=("image", "tag"), combiner="mixture", seed=17,
@@ -168,6 +199,10 @@ class TestOverrides:
         out = apply_overrides(RunConfig(), {"dropout": {"kind": "gaussian"}})
         assert out.dropout.kind == "gaussian"
         assert out.dropout.rate == RunConfig().dropout.rate
+
+    def test_override_of_the_wrong_type_rejected(self):
+        with pytest.raises(ValueError, match="eval_mc_samples must be of type int"):
+            apply_overrides(RunConfig(), {"eval_mc_samples": "3"})
 
     def test_unknown_paths_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):

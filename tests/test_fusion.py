@@ -197,6 +197,20 @@ class TestModerator:
         renorm = top / top.sum(axis=1, keepdims=True)
         assert np.allclose(pi_red.data, renorm, atol=1e-12)
 
+    @pytest.mark.parametrize("n_cues", [2, 3])
+    def test_gate_and_mixture_record_three_nodes_beyond_the_gate_net(self, n_cues):
+        # scores, softmax and mixture, whatever the number of cues
+        mod, mus, feats = self._setup(n_cues=n_cues)
+        for mu in mus.values():
+            mu.requires_grad = True
+        with ad.Tape() as net_tape:
+            mod.gate_net.forward(feats)
+        with ad.Tape() as tape:
+            pi, order = mod.gate(mus, feats)
+            mix_encoding(pi, mus, order)
+        assert len(net_tape) > 0
+        assert len(tape) == len(net_tape) + 3
+
 
 class TestMixEncoding:
     def test_convex_combination(self):
