@@ -223,6 +223,8 @@ def synth_generate(n: int, seed: int, image_dim: int = DEFAULT_FEATURE_DIM,
     regeneration with the same seed is bitwise reproducible regardless of n."""
     if not (1 <= questions_per <= len(QUESTION_TEMPLATES)):
         raise ValueError(f"questions_per must be in [1, {len(QUESTION_TEMPLATES)}]")
+    if not (0.0 <= noise < float("inf")):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     vocab = Vocabulary.default()
     root = RngStream(seed).child("synth")
     bundles = []

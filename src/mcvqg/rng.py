@@ -15,6 +15,7 @@ import numpy as np
 from .autodiff import ShapeError
 
 _MASK64 = (1 << 64) - 1
+_HIGH_BIT = 1 << 63
 _LOCAL = threading.local()
 
 
@@ -28,11 +29,34 @@ def _thread_generator() -> np.random.Generator:
     return generator
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _splitmix64(values, mix: int = 0) -> list:
+    """SplitMix64's mixer on `x ^ mix` for each int x of `values`, in one loop."""
+    out = []
+    for x in values:
+        x = ((x ^ mix) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(x ^ (x >> 31))
+    return out
+
+
+def _uint64_pair(a: int, b: int) -> tuple:
+    """The ints of `np.asarray([a, b]).astype(np.uint64)`, the conversion a
+    generator's list arguments key=[seed, id] and counter=[0, c, 0, 0] go
+    through.
+
+    numpy keeps the list exact when both values lie in [0, 2**63) or both in
+    [2**63, 2**64). If exactly one is >= 2**63 the list becomes float64,
+    which keeps 53 bits of each. Where that float rounds up to 2**64, or a
+    value lies outside [0, 2**64), the cast is left to numpy itself.
+    """
+    if 0 <= a <= _MASK64 and 0 <= b <= _MASK64:
+        if (a < _HIGH_BIT) == (b < _HIGH_BIT):
+            return a, b
+        key = int(float(a)), int(float(b))
+        if key[0] <= _MASK64 and key[1] <= _MASK64:
+            return key
+    return tuple(int(v) for v in np.asarray([a, b]).astype(np.uint64))
 
 
 def _tag_to_int(tag) -> int:
@@ -67,13 +91,16 @@ class RngStream:
     therefore sees sample t's masks exactly as a run on child(t) would. Any
     other leading extent raises `ShapeError`.
 
-    No draw builds a generator. Each thread holds one Philox generator, and
-    a draw sets its state, id by id, to the key (seed, id) and the call's
-    counter block before drawing, so the bits are those of a generator
-    freshly built on that key and counter.
+    No draw builds a generator. Each thread holds one Philox generator. A
+    draw call builds one state, holding its counter block, and then per id
+    sets the key (seed, id) in it, hands it to the generator and draws, so
+    the bits are those of a generator freshly built on that key and
+    counter. A uniform or normal draw allocates its output once and each id
+    fills its own block of rows in place; `child` and `rows` derive all
+    their ids in one loop.
 
     Distinct ids do not always give distinct keys. Next to a seed < 2**63,
-    the key of an id >= 2**63 goes through float64 (see `_each_id`): it
+    the key of an id >= 2**63 goes through float64 (see `_uint64_pair`): it
     keeps only the id's top 53 bits, so neighbouring ids draw alike, and
     an id in [2**64 - 1024, 2**64) rounds to 2**64 and keys as id 0. For
     hashed ids such a collision is unlikely, but not impossible.
@@ -102,39 +129,35 @@ class RngStream:
 
     def child(self, tag) -> "RngStream":
         """Derive an independent stream; same (parent, tag) -> same child."""
-        mix = _splitmix64(_tag_to_int(tag))
-        return self._derive([_splitmix64(s ^ mix) for s in self.streams])
+        mix = _splitmix64((_tag_to_int(tag),))[0]
+        return self._derive(_splitmix64(self.streams, mix))
 
     def rows(self, count: int) -> "RngStream":
         """The ids of child(0) .. child(count - 1) as one stream: sample t
         of a Monte-Carlo batch owns block t of the rows of every draw."""
         if count < 1:
             raise ValueError(f"rows needs count >= 1, got {count}")
-        stream = self.stream
-        return self._derive([_splitmix64(stream ^ _splitmix64(t)) for t in range(count)])
+        return self._derive(_splitmix64(_splitmix64(range(count)), self.stream))
 
-    def state(self):
-        return (self.seed, self.stream, self.counter)
-
-    def _each_id(self, method, *args) -> list:
+    def _each_id(self, method, *args, rows=None) -> list:
         """`method(generator, *args)` once per id, in id order, each id on
-        this call's counter block of its own key."""
+        this call's counter block of its own key; given `rows`, the call for
+        id i fills rows[i] (`out=`)."""
         generator = _thread_generator()
         bit_generator = generator.bit_generator
-        # counter and key convert as numpy converts a generator's list
-        # arguments key=[seed, id] and counter=[0, c, 0, 0]: an id >= 2**63
-        # next to a seed < 2**63 makes the key float64, and changing that
-        # would move every draw on it
-        counter = np.asarray([0, self.counter, 0, 0]).astype(np.uint64)
+        # one state per call, not per thread or per id: only its key changes
+        # from id to id
+        philox = {"counter": (0, _uint64_pair(0, self.counter)[1], 0, 0), "key": None}
+        state = {"bit_generator": "Philox", "state": philox,
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.counter += 1
+        seed = self.seed
         out = []
-        for s in self.streams:
-            bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": counter,
-                          "key": np.asarray([self.seed, s]).astype(np.uint64)},
-                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            out.append(method(generator, *args))
+        for i, s in enumerate(self.streams):
+            philox["key"] = _uint64_pair(seed, s)
+            bit_generator.state = state
+            out.append(method(generator, *args) if rows is None
+                       else method(generator, *args, out=rows[i]))
         return out
 
     def _check_one_id(self):
@@ -142,15 +165,14 @@ class RngStream:
             raise TypeError("a stream of several ids draws only uniform and normal arrays")
 
     def _draw(self, method, shape):
+        out = np.empty(shape)
         count = len(self.streams)
-        if count == 1:
-            return self._each_id(method, shape)[0]
-        shape = tuple(shape)
-        if not shape or shape[0] % count:
-            raise ShapeError(f"row-stacked draw of shape {shape}: the leading "
+        if count > 1 and (not out.ndim or out.shape[0] % count):
+            raise ShapeError(f"row-stacked draw of shape {out.shape}: the leading "
                              f"extent must be a multiple of {count} rows")
-        block = (shape[0] // count,) + shape[1:]
-        return np.concatenate(self._each_id(method, block))
+        # row i of this view is id i's contiguous block of the output
+        self._each_id(method, rows=out.reshape(count, out.size // count))
+        return out
 
     def uniform(self, shape=()):
         """Uniform float64 draws on [0, 1)."""

@@ -117,6 +117,11 @@ class TestSynthGenerate:
         assert np.abs(off).max() < 2.0
         assert 0.05 < np.abs(off[np.abs(off) < 0.5]).std() < 0.2
 
+    @pytest.mark.parametrize("noise", [float("inf"), float("nan"), -1.0, -1e-300])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            synth_generate(2, seed=5, noise=noise)
+
     def test_questions_eos_terminated_and_counted(self):
         ds = synth_generate(15, seed=6)
         for b in ds.bundles:

@@ -5,9 +5,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcvqg.autodiff import ShapeError
-from mcvqg.rng import RngStream
+from mcvqg.rng import RngStream, _uint64_pair
 
 
 class TestReproducibility:
@@ -28,7 +30,7 @@ class TestReproducibility:
     def test_replay_from_saved_counter(self):
         s = RngStream(9, stream=2)
         s.uniform((3,))
-        state = s.state()
+        state = (s.seed, s.stream, s.counter)
         first = s.normal((6,))
         replay = RngStream(*state).normal((6,))
         assert np.array_equal(first, replay)
@@ -47,8 +49,9 @@ class TestReproducibility:
 class TestSplitting:
     def test_child_deterministic(self):
         s = RngStream(42)
-        assert s.child(3).state() == s.child(3).state()
-        assert s.child("enc").state() == s.child("enc").state()
+        for tag in (3, "enc"):
+            a, b = s.child(tag), s.child(tag)
+            assert (a.seed, a.stream, a.counter) == (b.seed, b.stream, b.counter)
 
     def test_children_distinct(self):
         s = RngStream(42)
@@ -74,7 +77,8 @@ class TestSplitting:
                   (("w", np.int64(1)), 6174413749113342189), (7, 9853691929716327830)]
         for tags in (pinned, pinned[::-1]):
             for tag, stream in tags:
-                assert parent.child(tag).state() == (2020, stream, 0)
+                c = parent.child(tag)
+                assert (c.seed, c.stream, c.counter) == (2020, stream, 0)
 
     def test_distinct_streams_decorrelated(self):
         s = RngStream(0)
@@ -223,6 +227,63 @@ class TestReusedGenerator:
         digest = hashlib.sha256(s.uniform((2, 3)).tobytes() + s.normal((4,)).tobytes())
         assert digest.hexdigest() == \
             "edd5466a40295c5963b78d14de95bef5e943ebe067b8fee4235aee370b795028"
+
+
+TOP = 1 << 64
+# the classes numpy's list conversion tells apart: below 2**63 (exact up to
+# 2**53 through float64, rounded above it), at or above 2**63, and the top
+# 1024 values, which round to 2**64 through float64
+KEY_VALUES = st.one_of(st.integers(0, BIG - 1), st.integers(BIG, TOP - 1),
+                       st.integers(1 << 53, BIG - 1), st.integers(TOP - 1024, TOP - 1))
+
+
+class TestKeyConversion:
+    """Keys and counters are Python ints, converted as numpy converts the
+    list arguments of a freshly built Philox."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=KEY_VALUES, stream=KEY_VALUES)
+    @example(seed=1, stream=2).via("both < 2**63")
+    @example(seed=BIG + 1, stream=BIG + 2).via("both >= 2**63")
+    @example(seed=1, stream=BIG + 12345).via("seed < 2**63 <= id")
+    @example(seed=BIG + 12345, stream=1).via("id < 2**63 <= seed")
+    @example(seed=(1 << 53) + 1, stream=BIG).via("float64 rounds the seed")
+    @example(seed=1, stream=TOP - 1000).via("the id rounds to 2**64")
+    @example(seed=TOP - 1, stream=0).via("the seed rounds to 2**64")
+    def test_key_is_numpys_uint64_list(self, seed, stream):
+        with np.errstate(invalid="ignore"):
+            expected = np.asarray([seed, stream]).astype(np.uint64)
+            got = _uint64_pair(seed, stream)
+        assert all(type(v) is int for v in got)
+        assert got == tuple(int(v) for v in expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=KEY_VALUES, stream=KEY_VALUES, counter=KEY_VALUES)
+    @example(seed=1, stream=BIG + 5, counter=TOP - 1).via("the counter rounds to 2**64")
+    @example(seed=3, stream=4, counter=-1).via("a negative counter wraps")
+    def test_draws_equal_a_fresh_generator_on_any_key(self, seed, stream, counter):
+        with np.errstate(invalid="ignore"):
+            got = RngStream(seed, stream=stream, counter=counter).uniform((3,))
+            expected = _fresh(seed, stream, counter).random((3,))
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestRowStackedDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=KEY_VALUES, ids=st.integers(1, 5), block=st.integers(1, 3),
+           trailing=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           kinds=st.lists(st.sampled_from(["uniform", "normal"]), min_size=1, max_size=3))
+    def test_blocks_equal_per_id_fresh_draws(self, seed, ids, block, trailing, kinds):
+        rows = RngStream(seed).child("mc").rows(ids)
+        shape = (ids * block, *trailing)
+        for counter, kind in enumerate(kinds):
+            with np.errstate(invalid="ignore"):
+                stacked = getattr(rows, kind)(shape)
+                method = "random" if kind == "uniform" else "standard_normal"
+                expected = [getattr(_fresh(seed, i, counter), method)((block, *trailing))
+                            for i in rows.streams]
+            assert stacked.shape == shape and stacked.flags.c_contiguous
+            assert stacked.tobytes() == b"".join(e.tobytes() for e in expected)
 
 
 class TestMoments:
