@@ -237,10 +237,15 @@ def synth_generate(n: int, seed: int, image_dim: int = DEFAULT_FEATURE_DIM,
         questions = [vocab.encode(render(QUESTION_TEMPLATES[k], scene)) + [EOS]
                      for k in chosen]
         tags = extract_tags(caption, vocab, questions)
+        with np.errstate(over="ignore"):   # reported by the check below
+            image_feat = image_feature(scene, image_dim, noise, r.child("img"))
+            place_feat = place_feature(scene, place_dim, noise, r.child("plc"))
+        if not (np.isfinite(image_feat).all() and np.isfinite(place_feat).all()):
+            raise ValueError(f"noise {noise} overflows the features of example {i}")
         bundles.append(CueBundle(
             id=f"ex{i:05d}",
-            image_feat=image_feature(scene, image_dim, noise, r.child("img")),
-            place_feat=place_feature(scene, place_dim, noise, r.child("plc")),
+            image_feat=image_feat,
+            place_feat=place_feat,
             caption=caption,
             tags=tags,
             questions=questions,

@@ -145,8 +145,8 @@ class RngStream:
         id i fills rows[i] (`out=`)."""
         generator = _thread_generator()
         bit_generator = generator.bit_generator
-        # one state per call, not per thread or per id: only its key changes
-        # from id to id
+        # built per call, so no other call or thread ever sees it; only its
+        # key changes from id to id
         philox = {"counter": (0, _uint64_pair(0, self.counter)[1], 0, 0), "key": None}
         state = {"bit_generator": "Philox", "state": philox,
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

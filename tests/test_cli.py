@@ -71,7 +71,7 @@ class TestGenData:
         assert len(err) == 1 and err[0].startswith("ERROR USAGE_INVALID: "), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("noise", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("noise", ["inf", "nan", "-1", "1e308"])
     def test_bad_noise_is_one_usage_error(self, tmp_path, capsys, noise):
         out = tmp_path / "d.jsonl"
         assert main(["gen-data", "--n", "2", "--noise", noise, "--out", str(out)]) == 1

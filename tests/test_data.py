@@ -122,6 +122,10 @@ class TestSynthGenerate:
         with pytest.raises(ValueError, match="noise must be finite and >= 0"):
             synth_generate(2, seed=5, noise=noise)
 
+    def test_noise_that_overflows_the_features_is_rejected(self):
+        with pytest.raises(ValueError, match="overflows the features"):
+            synth_generate(2, seed=5, noise=1e308)
+
     def test_questions_eos_terminated_and_counted(self):
         ds = synth_generate(15, seed=6)
         for b in ds.bundles:
