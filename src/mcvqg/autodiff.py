@@ -155,11 +155,16 @@ def _accum(t: Tensor, g):
         t.grad += g
 
 
-def _make(out_data, inputs, backward_fn) -> Tensor:
-    out = Tensor(out_data)
+def _make(out_data, inputs, backward_fn):
+    """Wrap the output array as a tensor and, while a tape records and an
+    input requires grad, record it as one node. A tuple of arrays becomes a
+    tuple of tensors recorded as one multi-output node."""
+    multi = type(out_data) is tuple
+    out = tuple(Tensor(d) for d in out_data) if multi else Tensor(out_data)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+        for o in (out if multi else (out,)):
+            o.requires_grad = True
         tape._record(out, backward_fn)
     return out
 
@@ -565,13 +570,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
         _accum(wx, xd.T @ g_pre)
         _accum(b, g_pre.sum(axis=0))
 
-    outs = (Tensor(h_new), Tensor(c_new))
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in (x, h, c, wx, wh, b)):
-        for out in outs:
-            out.requires_grad = True
-        tape._record(outs, backward_fn)
-    return outs
+    return _make((h_new, c_new), (x, h, c, wx, wh, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,9 @@ def cmd_sweep(args) -> int:
         if not isinstance(manifest, dict):
             raise ValueError("manifest must be a JSON object")
         if "base_config" in manifest:
+            if not isinstance(manifest["base_config"], str):
+                raise ValueError("manifest `base_config` must be a path string, "
+                                 f"got {manifest['base_config']!r}")
             base = load_config(manifest["base_config"])
         else:
             base = config_from_dict(manifest.get("base", {}))
@@ -257,17 +260,19 @@ def cmd_sweep(args) -> int:
                               for k, v in zip(keys, combo)))
     if len(set(names)) != len(names):
         raise CliError("MANIFEST_INVALID", "sweep axes produce duplicate runs")
-    dataset = _read_dataset(base.dataset)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
+    cfgs = []
     for name, combo in zip(names, combos):
         try:
-            cfg = apply_overrides(base, dict(zip(keys, combo)))
-            cfg.validate()
+            cfgs.append(apply_overrides(base, dict(zip(keys, combo))).validate())
         except ValueError as e:
             raise CliError("MANIFEST_INVALID",
                            f"run {name!r} is not a valid config: {e}") from e
+    dataset = _read_dataset(base.dataset)
+    for cfg in cfgs:
         _check_dims(cfg, dataset)
+    os.makedirs(args.out, exist_ok=True)
+    rows = []
+    for name, combo, cfg in zip(names, combos, cfgs):
         run_dir = os.path.join(args.out, name.replace("/", "_"))
         result = _train(cfg, dataset, run_dir)
         save_config(os.path.join(run_dir, "config.json"), cfg)

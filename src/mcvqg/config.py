@@ -139,14 +139,11 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
     """New config with dotted-or-nested field overrides applied."""
     data = config_to_dict(cfg)
     for key, value in overrides.items():
-        parts = key.split(".")
+        *path, leaf = key.split(".")
         node = data
-        for part in parts[:-1]:
-            if part not in node:
-                raise ValueError(f"unknown config key {key!r}")
-            node = node[part]
-        leaf = parts[-1]
-        if leaf not in node:
+        for part in path:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or leaf not in node:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(value, dict) and isinstance(node[leaf], dict):
             node[leaf] = {**node[leaf], **value}

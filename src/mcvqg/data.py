@@ -304,7 +304,7 @@ def save_dataset(path, ds: Dataset):
 
 def _check_ids(ids, vocab_size, line_no, what):
     for t in ids:
-        if not isinstance(t, int) or not (0 <= t < vocab_size):
+        if isinstance(t, bool) or not isinstance(t, int) or not (0 <= t < vocab_size):
             raise ValueError(f"line {line_no}: {what} contains invalid token id {t!r}")
 
 
@@ -320,8 +320,10 @@ def load_dataset(path) -> Dataset:
     try:
         header = json.loads(lines[0])
         vocab_list = header["vocab"]
-        image_dim = int(header["image_dim"])
-        place_dim = int(header["place_dim"])
+        image_dim, place_dim = header["image_dim"], header["place_dim"]
+        for name, dim in (("image_dim", image_dim), ("place_dim", place_dim)):
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise ValueError(f"{name} must be an integer, got {dim!r}")
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"line 1: bad dataset header: {e}") from None
     if not isinstance(vocab_list, list) or not all(isinstance(w, str) for w in vocab_list):
@@ -370,11 +372,11 @@ def load_dataset(path) -> Dataset:
             _check_ids(q, vsz, k, "question")
             if not q or q[-1] != EOS:
                 raise ValueError(f"line {k}: question does not end with EOS")
+        _check_ids(tags.sequence(), vsz, k, "tags")
         try:
             tags.validate(vocab)
         except ValueError as e:
             raise ValueError(f"line {k}: {e}") from None
-        _check_ids(tags.sequence(), vsz, k, "tags")
         bundles.append(CueBundle(id=bid, image_feat=image_feat, place_feat=place_feat,
                                  caption=caption, tags=tags, questions=questions,
                                  scene=scene))

@@ -205,22 +205,10 @@ def mumc_refine(g_enc: Tensor, mus: dict, grad_wrt_enc: np.ndarray,
 @dataclass
 class QuestionSample:
     """One decoded question: token ids (EOS-terminated unless cut at
-    max_len), per-step logits and predicted variances, and the mean
-    predicted variance at the chosen tokens as a single-pass uncertainty
-    summary."""
+    max_len) and the mean predicted variance at the chosen tokens as a
+    single-pass uncertainty summary."""
     tokens: list
-    logits: list
-    variances: list
     predictive_uncertainty: float = 0.0
-
-
-@dataclass
-class _Committee:
-    """One committee's free-running decode: the fed-back tokens, and per
-    step the (rows, V) logits and predicted variances of its rows."""
-    tokens: list
-    logits: list
-    variances: list
 
 
 def _start(dec: Decoder, g_enc: Tensor, masks):
@@ -229,43 +217,50 @@ def _start(dec: Decoder, g_enc: Tensor, masks):
     return dec.cell.step(ad.affine(g_enc, dec.in_proj_w, dec.in_proj_b), h, c, masks)
 
 
-def _decode_committees(dec: Decoder, state, masks, size: int,
-                       max_len: int) -> list:
+def _decode_committees(dec: Decoder, state, masks, size: int, max_len: int):
     """Free-running decode of the batch as contiguous committees of `size`
     rows. Every step each committee feeds all its rows the argmax of their
     mean logits (ties resolve to the lowest token id) and finishes at its
     own EOS or after max_len tokens; rows of finished committees keep
-    stepping until the last one finishes, and their outputs are dropped."""
+    stepping until the last one finishes, and their outputs are dropped.
+
+    Only what the callers read is kept: the first step's (rows, V) logits,
+    and per step each committee's token and the logits and predicted
+    variances of its rows at that token. Returns (first_logits, tokens
+    (committees, steps), chosen logits and chosen variances (committees,
+    size, steps), lengths (committees,)); committee k's question is
+    tokens[k, :lengths[k]]."""
     h, c = state
-    count = h.data.shape[0] // size
-    committees = [_Committee([], [], []) for _ in range(count)]
-    running = list(range(count))
+    rows = h.data.shape[0]
+    count = rows // size
     tokens = np.full(count, BOS, dtype=np.int64)
+    lengths = np.zeros(count, dtype=np.int64)
+    done = np.zeros(count, dtype=bool)
+    first, steps = None, []
     for _ in range(max_len):
         x = dec.embedding.lookup(np.repeat(tokens, size))
         h, c = dec.cell.step(x, h, c, masks)
         y, v = dec.heads(h)
-        logits = y.data.reshape(count, size, -1)
-        variances = v.data.reshape(count, size, -1)
-        tokens = np.argmax(logits.sum(axis=1) / size, axis=1)
-        for k in running:
-            com = committees[k]
-            com.tokens.append(int(tokens[k]))
-            com.logits.append(logits[k])
-            com.variances.append(variances[k])
-        running = [k for k in running if tokens[k] != EOS]
-        if not running:
+        if first is None:
+            first = y.data
+        tokens = np.argmax(y.data.reshape(count, size, -1).sum(axis=1) / size, axis=1)
+        picked = (np.arange(rows), np.repeat(tokens, size))
+        steps.append((tokens, y.data[picked].reshape(count, size),
+                       v.data[picked].reshape(count, size)))
+        lengths += ~done
+        done |= tokens == EOS
+        if done.all():
             break
-    return committees
+    tokens, logits, variances = (np.stack(a, axis=-1) for a in zip(*steps))
+    return first, tokens, logits, variances, lengths
 
 
-def _question(com: _Committee) -> QuestionSample:
-    """A committee of one row as a decoded question."""
-    logits = [y[0] for y in com.logits]
-    variances = [v[0] for v in com.variances]
-    chosen_var = float(np.mean([v[t] for v, t in zip(variances, com.tokens)]))
-    return QuestionSample(tokens=com.tokens, logits=logits, variances=variances,
-                          predictive_uncertainty=chosen_var)
+def _questions(decoded) -> list:
+    """Each committee of one row as a decoded question."""
+    _, tokens, _, variances, lengths = decoded
+    return [QuestionSample(tokens=tokens[k, :n].tolist(),
+                           predictive_uncertainty=float(np.mean(variances[k, 0, :n])))
+            for k, n in enumerate(lengths)]
 
 
 def generate_greedy(dec: Decoder, g_enc: Tensor, max_len: int = 16,
@@ -279,8 +274,8 @@ def generate_greedy(dec: Decoder, g_enc: Tensor, max_len: int = 16,
     with ad.no_grad():
         if masks is None:
             masks = dec.cell.sample_masks(g_enc.data.shape[0])
-        return [_question(com) for com in
-                _decode_committees(dec, _start(dec, g_enc, masks), masks, 1, max_len)]
+        return _questions(_decode_committees(dec, _start(dec, g_enc, masks), masks, 1,
+                                             max_len))
 
 
 def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,
@@ -301,7 +296,10 @@ def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,
     token's logit, aleatoric = mean over steps of the MC-mean predicted
     variance at that token, predictive = epistemic + aleatoric.
 
-    Returns (samples, first_step_stats, uncertainty dict).
+    Both passes keep per step only each committee's token and its rows'
+    logits and predicted variances at it; the samples' first-step (T, V)
+    logits give first_step_stats. Returns (samples, first_step_stats,
+    uncertainty dict, the committee's tokens under "committee_tokens").
     """
     if T < 1:
         raise ValueError(f"generate_mc needs T >= 1, got {T}")
@@ -313,20 +311,18 @@ def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,
                                 f"one row per sample (T={T})")
         masks = dec.cell.sample_masks(T, rows.child("dec"))
         state = _start(dec, g_enc, masks)
-        samples = [_question(com) for com in
-                   _decode_committees(dec, state, masks, 1, max_len)]
-        first_step_stats = mc_statistics(np.stack([s.logits[0] for s in samples]))
+        decoded = _decode_committees(dec, state, masks, 1, max_len)
+        samples = _questions(decoded)
+        first_step_stats = mc_statistics(decoded[0])
 
-        committee, = _decode_committees(dec, state, masks, T, max_len)
-        tokens = committee.tokens
-        chosen = np.stack([y[:, t] for y, t in zip(committee.logits, tokens)], axis=1)
-        epistemic = float(np.mean(mc_statistics(chosen).variance))
-        aleatoric = float(np.mean([np.mean(v[:, t])
-                                   for v, t in zip(committee.variances, tokens)]))
+        _, (tokens,), (logits,), (variances,), _ = _decode_committees(dec, state, masks,
+                                                                      T, max_len)
+        epistemic = float(np.mean(mc_statistics(logits).variance))
+        aleatoric = float(np.mean([np.mean(v) for v in variances.T]))
         uncertainty = {
             "epistemic": epistemic,
             "aleatoric": aleatoric,
             "predictive": epistemic + aleatoric,
-            "committee_tokens": tokens,
+            "committee_tokens": tokens.tolist(),
         }
         return samples, first_step_stats, uncertainty

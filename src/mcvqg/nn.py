@@ -216,9 +216,9 @@ def mc_predict(f, T: int, rng: RngStream) -> McStatistics:
     samples concatenated along axis 0, typically by running on T stacked
     copies of its input: every draw from `rows` gives sample t's block of
     rows what rng.child(t) alone would draw, so sample t sees the same
-    masks whatever T is and in whatever order the samples are taken. Floats can differ from T separate
-    runs in the last bits, because a batched matrix product may sum in
-    another order.
+    masks whatever T is and in whatever order the samples are taken.
+    Floats can differ from T separate runs in the last bits, because a
+    batched matrix product may sum in another order.
     """
     if T < 1:
         raise ValueError(f"mc_predict needs T >= 1, got {T}")

@@ -293,9 +293,11 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
     batch per EVAL_CHUNK of them, each row a committee of one. A batched
     product can round differently from a batch-1 one, so a record's
     uncertainty floats can differ from a batch-1 decode's in the last bits
-    (tokens are tested equal). MC decisions encode and decode each example once as the T
-    rows of one batch, sample t on stream rng.child(idx).child(t), so a
-    record depends only on the model, the example and the stream."""
+    (tokens are tested equal).
+
+    MC decisions encode and decode each example once as the T rows of one
+    batch, sample t on stream rng.child(idx).child(t), so a record depends
+    only on the model, the example and the stream."""
     indices = list(indices)
     if not indices:
         raise ValueError("evaluation needs at least one example")

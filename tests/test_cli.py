@@ -473,6 +473,28 @@ class TestSweep:
                      "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith("ERROR MANIFEST_INVALID:")
 
+    @pytest.mark.parametrize("key", ["seed.x", "dropout.rate.x"])
+    def test_axis_through_a_scalar_rejected(self, workspace, tmp_path, capsys, key):
+        manifest = self.manifest(workspace, tmp_path, {key: [1]})
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ERROR MANIFEST_INVALID: run 'x=1' is not a valid config: "
+                       f"unknown config key '{key}'"]
+        assert not (tmp_path / "s").exists()
+
+    # a number would reach open() as a file descriptor; one this large is
+    # never open, so a regression here cannot read or close a live one
+    @pytest.mark.parametrize("base_config", [[1], {"seed": 1}, 10**6])
+    def test_base_config_that_is_not_a_path_rejected(self, tmp_path, capsys, base_config):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"base_config": base_config, "axes": {"seed": [1]}}))
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ERROR MANIFEST_INVALID: manifest `base_config` must be a path "
+                       f"string, got {base_config!r}"]
+
     @pytest.mark.parametrize("text", ["[1, 2]", "null", '"axes"'])
     def test_non_object_manifest_rejected(self, tmp_path, capsys, text):
         manifest = tmp_path / "manifest.json"

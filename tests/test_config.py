@@ -210,6 +210,11 @@ class TestOverrides:
         with pytest.raises(ValueError, match="unknown config key"):
             apply_overrides(RunConfig(), {"nope": 1})
 
+    @pytest.mark.parametrize("key", ["seed.x", "dropout.rate.x", "optimizer.epochs.x.y"])
+    def test_path_through_a_scalar_rejected(self, key):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            apply_overrides(RunConfig(), {key: 1})
+
     def test_returns_new_config(self):
         base = RunConfig()
         out = apply_overrides(base, {"seed": 99})

@@ -293,6 +293,32 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 1: bad dataset header"):
             load_dataset(self._write(tmp_path, lines))
 
+    @pytest.mark.parametrize("name", ["image_dim", "place_dim"])
+    @pytest.mark.parametrize("offset", [0.9, 0.0])
+    def test_fractional_header_dim_line_numbered(self, tmp_path, name, offset):
+        # int() would truncate 32.9 to 32 and accept the file
+        lines = self._valid_lines()
+        header = json.loads(lines[0])
+        header[name] += offset
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError,
+                           match=f"line 1: bad dataset header: {name} must be an integer"):
+            load_dataset(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("where", ["caption", "question", "noun", "verb", "question_tag"])
+    def test_boolean_token_id_line_numbered(self, tmp_path, where, value):
+        # json reads true / false, which equal the ids 1 (BOS) and 0 (PAD)
+        lines = self._valid_lines()
+        rec = json.loads(lines[2])
+        ids = {"caption": rec["caption"], "question": rec["questions"][0],
+               "noun": rec["tags"]["noun"], "verb": rec["tags"]["verb"],
+               "question_tag": rec["tags"]["question"]}[where]
+        ids[0] = value
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ValueError, match=f"line 3: .* invalid token id {value}"):
+            load_dataset(self._write(tmp_path, lines))
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -485,8 +485,9 @@ class TestGreedyGeneration:
         dec.b_out.data[EOS] = 5.0
         out, = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=8)
         assert out.tokens == [EOS]
-        assert len(out.logits) == 1 and len(out.variances) == 1
-        assert out.logits[0].shape == (VOCAB,)
+        _, _, _, variances = _batch1_committee(dec, np.zeros((1, ENC)),
+                                               [dec.cell.sample_masks(1)], 8)
+        assert out.predictive_uncertainty == variances[0, 0]
 
     def test_max_len_cutoff_without_eos(self):
         dec = _decoder()
@@ -512,10 +513,11 @@ class TestGreedyGeneration:
         # rows finish at different steps, one of them cut at max_len
         assert [len(r.tokens) for r in refs] == [5, 2, 1, 1, 1]
         assert refs[0].tokens[-1] != EOS
-        for row, ref in zip(rows, refs):
-            assert row.tokens == ref.tokens
-            assert all(_close(a, b) for a, b in zip(row.logits, ref.logits))
-            assert all(_close(a, b) for a, b in zip(row.variances, ref.variances))
+        for i, (row, ref) in enumerate(zip(rows, refs)):
+            tokens, _, _, variances = _batch1_committee(dec, g[i:i + 1],
+                                                        [dec.cell.sample_masks(1)], 5)
+            assert row.tokens == ref.tokens == tokens
+            assert _close(ref.predictive_uncertainty, np.mean(variances))
             assert _close(row.predictive_uncertainty, ref.predictive_uncertainty)
 
 
@@ -524,28 +526,30 @@ def _close(a, b, rel=1e-12):
 
 
 def _batch1_committee(dec, g, masks, max_len):
-    """Reference committee pass: T batch-1 decoders, one per row of g, in
-    lockstep on the argmax of their mean logits. Returns the tokens and,
-    averaged over steps, the MC variance of the chosen token's logit and
-    the MC-mean predicted variance at that token."""
+    """Reference committee pass: one batch-1 decoder per row of g, in
+    lockstep on the argmax of their mean logits. Returns the tokens, the
+    first step's (rows, V) logits, and per step the rows' logits and
+    predicted variances at the chosen token, each (steps, rows)."""
     states = []
     for t, m in enumerate(masks):
         h, c = dec.cell.initial_state(1)
         x = ad.affine(Tensor(g[t:t + 1]), dec.in_proj_w, dec.in_proj_b)
         states.append(dec.cell.step(x, h, c, m))
-    token, tokens, epi, alea = BOS, [], [], []
+    token, tokens, first, chosen_y, chosen_v = BOS, [], None, [], []
     for _ in range(max_len):
         x = dec.embedding.lookup(np.array([token]))
         states = [dec.cell.step(x, h, c, m) for (h, c), m in zip(states, masks)]
         heads = [dec.heads(h) for h, _ in states]
         logits = np.concatenate([y.data for y, _ in heads])
+        variances = np.concatenate([v.data for _, v in heads])
+        first = logits if first is None else first
         token = int(np.argmax(logits.mean(axis=0)))
         tokens.append(token)
-        epi.append(np.var(logits[:, token], ddof=1))
-        alea.append(np.mean([v.data[0, token] for _, v in heads]))
+        chosen_y.append(logits[:, token])
+        chosen_v.append(variances[:, token])
         if token == EOS:
             break
-    return tokens, np.mean(epi), np.mean(alea)
+    return tokens, first, np.array(chosen_y), np.array(chosen_v)
 
 
 class TestMcGeneration:
@@ -560,18 +564,19 @@ class TestMcGeneration:
         refs = [generate_greedy(dec, Tensor(g[t:t + 1]), max_len, masks=m)[0]
                 for t, m in enumerate(masks)]
         assert len({tuple(r.tokens) for r in refs}) > 1
-        for s, ref in zip(samples, refs):
-            assert s.tokens == ref.tokens
-            assert all(_close(a, b) for a, b in zip(s.logits, ref.logits))
-            assert all(_close(a, b) for a, b in zip(s.variances, ref.variances))
-        first = np.stack([r.logits[0] for r in refs])
+        for t, (s, ref) in enumerate(zip(samples, refs)):
+            tokens, _, _, variances = _batch1_committee(dec, g[t:t + 1], masks[t:t + 1],
+                                                        max_len)
+            assert s.tokens == ref.tokens == tokens
+            assert _close(s.predictive_uncertainty, np.mean(variances))
+            assert _close(s.predictive_uncertainty, ref.predictive_uncertainty)
+        tokens, first, logits, variances = _batch1_committee(dec, g, masks, max_len)
         assert _close(stats.mean, first.mean(axis=0))
         assert _close(stats.variance, first.var(axis=0, ddof=1))
-        tokens, epistemic, aleatoric = _batch1_committee(dec, g, masks, max_len)
         assert all(r.tokens != tokens for r in refs)
         assert unc["committee_tokens"] == tokens
-        assert _close(unc["epistemic"], epistemic)
-        assert _close(unc["aleatoric"], aleatoric)
+        assert _close(unc["epistemic"], np.mean(np.var(logits, axis=1, ddof=1)))
+        assert _close(unc["aleatoric"], np.mean(variances))
 
     def test_encoding_needs_one_row_per_sample(self):
         dec = _decoder(p=0.5)

@@ -197,6 +197,17 @@ class TestModerator:
         renorm = top / top.sum(axis=1, keepdims=True)
         assert np.allclose(pi_red.data, renorm, atol=1e-12)
 
+    @pytest.mark.parametrize("n_cues", [1, 2, 3])
+    def test_weights_are_the_softmax_of_the_cue_scores(self, n_cues):
+        # pi = softmax_B(<mu_B, g_gat>), with no temperature or other scaling
+        mod, mus, feats = self._setup(n_cues=n_cues, seed=5)
+        g_gat = mod.gate_net.forward(feats).data
+        pi, order = mod.gate(mus, feats)
+        scores = np.stack([(mus[c].data * g_gat).sum(axis=1) for c in order], axis=1)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(pi.data, e / e.sum(axis=1, keepdims=True),
+                                   rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("n_cues", [2, 3])
     def test_gate_and_mixture_record_three_nodes_beyond_the_gate_net(self, n_cues):
         # scores, softmax and mixture, whatever the number of cues

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mcvqg.train as mtrain
-from mcvqg.autodiff import Tape
+from mcvqg.autodiff import Tape, Tensor
 from mcvqg.config import DECISION_MODES, RunConfig, config_from_dict
 from mcvqg.data import EOS, synth_generate
 from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
@@ -271,6 +271,27 @@ class TestOptimizers:
         opt.step()
         assert any(not np.array_equal(p.data, before[k])
                    for k, p in params.items())
+
+    def test_adam_two_steps_by_hand(self):
+        # Kingma & Ba (2015), Algorithm 1, at beta1 0.9, beta2 0.999, eps 1e-8
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = mtrain.AdamOptimizer({"p": p}, lr=0.1)
+        g1, g2 = np.array([0.5, -1.0]), np.array([0.25, 2.0])
+        p.grad = g1.copy()
+        opt.step()
+        # at t = 1 the bias corrections undo the (1 - beta) factors: a step of
+        # lr against each gradient's sign, shrunk by eps only
+        after_one = np.array([1.0 - 0.1 * 0.5 / (0.5 + 1e-8),
+                              -2.0 + 0.1 * 1.0 / (1.0 + 1e-8)])
+        np.testing.assert_allclose(p.data, after_one, rtol=1e-12, atol=0)
+        p.grad = g2.copy()
+        opt.step()
+        m = 0.9 * (0.1 * g1) + 0.1 * g2
+        v = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
+        m_hat, v_hat = m / (1 - 0.9 ** 2), v / (1 - 0.999 ** 2)
+        expected = after_one - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=0)
+        assert opt.t == 2
 
 
 class TestTrainModel:
