@@ -310,9 +310,11 @@ def _check_ids(ids, vocab_size, line_no, what):
 
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset; malformed lines (a header vocab that repeats a
-    token, an empty caption, a non-finite or non-numeric feature, or a scene
-    that is not an object of the five slots among them) raise ValueError
-    with their line number, and so does a header with no examples after it."""
+    token, a feature width or token id that is not a JSON integer (true and
+    false are not), an empty caption, a non-finite or non-numeric feature,
+    or a scene that is not an object of the five slots among them) raise
+    ValueError with their line number, and so does a header with no
+    examples after it."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:

@@ -230,6 +230,8 @@ def _decode_committees(dec: Decoder, state, masks, size: int, max_len: int):
     (committees, steps), chosen logits and chosen variances (committees,
     size, steps), lengths (committees,)); committee k's question is
     tokens[k, :lengths[k]]."""
+    if max_len < 1:
+        raise ValueError(f"decoding needs max_len >= 1, got {max_len}")
     h, c = state
     rows = h.data.shape[0]
     count = rows // size

@@ -503,6 +503,13 @@ class TestGreedyGeneration:
         out, = generate_greedy(dec, Tensor(np.zeros((1, ENC))), max_len=3)
         assert out.tokens == [0, 0, 0]
 
+    def test_max_len_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_len >= 1, got 0"):
+            generate_greedy(_decoder(), Tensor(np.zeros((2, ENC))), max_len=0)
+        with pytest.raises(ValueError, match="max_len >= 1, got 0"):
+            generate_mc(_decoder(p=0.5), lambda r: Tensor(np.zeros((3, ENC))), T=3,
+                        max_len=0, rng=RngStream(9))
+
     def test_rows_decode_as_batch1_decodes(self):
         dec = _decoder()
         dec.b_out.data[EOS] += 0.1
