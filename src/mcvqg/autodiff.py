@@ -36,15 +36,15 @@ class Tensor:
 
     Data is immutable by convention once constructed (the optimizer and the
     finite-difference driver mutate parameter `.data` in place *between*
-    forward passes, never during one).
-    """
+    forward passes, never during one). A parameter's `grad_out` is its view
+    of its model's gradient vector, where a sweep puts its first gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "grad_out")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.grad = self.grad_out = None
 
     @property
     def shape(self):
@@ -148,11 +148,13 @@ def no_grad():
 def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # a copy, never an alias: `add` hands the same g to both inputs
+    if t.grad is not None:
+        t.grad += g
+    elif t.grad_out is None:   # a copy, never an alias: `add` hands g to both inputs
         t.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad += g
+        t.grad_out[...] = g
+        t.grad = t.grad_out
 
 
 def _make(out_data, inputs, backward_fn):
@@ -344,7 +346,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         if not table.requires_grad:
             return
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
+            _accum(table, np.zeros_like(table.data))
         np.add.at(table.grad, ids, g)
 
     return _make(table.data[ids], (table,), backward_fn)

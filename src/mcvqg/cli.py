@@ -250,6 +250,9 @@ def cmd_sweep(args) -> int:
         for key, values in axes.items():
             if not isinstance(values, list) or not values:
                 raise ValueError(f"axis {key!r} must be a nonempty list")
+            if key in ("dataset", "out_dir"):
+                raise ValueError(f"axis {key!r} cannot vary: every run of a sweep trains "
+                                 "on one dataset and writes under --out")
     except ValueError as e:
         raise CliError("MANIFEST_INVALID", str(e)) from e
     keys = sorted(axes)
@@ -316,31 +319,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    def restoring(name, help_):   # a subcommand that restores a checkpoint
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", required=True)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--dataset", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        return p
+
+    p = restoring("eval", "evaluate a checkpoint")
     p.add_argument("--split", choices=("train", "val", "all"), default="val")
     p.add_argument("--decision", choices=("deterministic", "mc"), default=None)
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sample", help="Monte-Carlo question sampling")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = restoring("sample", "Monte-Carlo question sampling")
     p.add_argument("--n", type=int, default=5, help="number of examples")
     p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("variance", help="encoding variance analysis CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = restoring("variance", "encoding variance analysis CSV")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--mc-samples", type=int, default=5)
     p.add_argument("--rate", type=float, default=None,

@@ -57,8 +57,7 @@ class CueEncoders:
             raise ValueError(f"unknown cues: {sorted(unknown)}")
         self.cues = tuple(c for c in CUE_NAMES if c in set(cues))
         self.embedding = embedding
-        self.image_net = self.place_net = None
-        self.caption_cell = self.tag_cell = None
+        self.image_net = self.place_net = self.caption_cell = self.tag_cell = None
         if "image" in self.cues:
             self.image_net = BayesianMLP([image_dim, hidden_dim, hidden_dim], dropout,
                                          rng.child("image_net"))
@@ -96,12 +95,8 @@ class CueEncoders:
 
     def named_params(self, prefix: str = "enc"):
         out = {}
-        if self.image_net is not None:
-            out.update(self.image_net.named_params(f"{prefix}.image"))
-        if self.place_net is not None:
-            out.update(self.place_net.named_params(f"{prefix}.place"))
-        if self.caption_cell is not None:
-            out.update(self.caption_cell.named_params(f"{prefix}.caption"))
-        if self.tag_cell is not None:
-            out.update(self.tag_cell.named_params(f"{prefix}.tag"))
+        for cue, net in zip(CUE_NAMES, (self.image_net, self.place_net,
+                                        self.caption_cell, self.tag_cell)):
+            if net is not None:
+                out.update(net.named_params(f"{prefix}.{cue}"))
         return out

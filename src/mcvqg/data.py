@@ -184,13 +184,9 @@ def render(template, scene: SceneSpec) -> list:
 
 
 def _scene(rng: RngStream) -> SceneSpec:
-    return SceneSpec(
-        place=PLACES[int(rng.integers(0, len(PLACES)))],
-        subject=SUBJECTS[int(rng.integers(0, len(SUBJECTS)))],
-        verb=VERBS[int(rng.integers(0, len(VERBS)))],
-        object=OBJECTS[int(rng.integers(0, len(OBJECTS)))],
-        attribute=ATTRIBUTES[int(rng.integers(0, len(ATTRIBUTES)))],
-    )
+    """Place, subject, verb, object and attribute, drawn in that order."""
+    return SceneSpec(*(words[int(rng.integers(0, len(words)))]
+                       for words in (PLACES, SUBJECTS, VERBS, OBJECTS, ATTRIBUTES)))
 
 
 def image_feature(scene: SceneSpec, dim: int, noise: float, rng: RngStream) -> np.ndarray:
@@ -242,15 +238,9 @@ def synth_generate(n: int, seed: int, image_dim: int = DEFAULT_FEATURE_DIM,
             place_feat = place_feature(scene, place_dim, noise, r.child("plc"))
         if not (np.isfinite(image_feat).all() and np.isfinite(place_feat).all()):
             raise ValueError(f"noise {noise} overflows the features of example {i}")
-        bundles.append(CueBundle(
-            id=f"ex{i:05d}",
-            image_feat=image_feat,
-            place_feat=place_feat,
-            caption=caption,
-            tags=tags,
-            questions=questions,
-            scene=scene,
-        ))
+        bundles.append(CueBundle(id=f"ex{i:05d}", image_feat=image_feat,
+                                 place_feat=place_feat, caption=caption, tags=tags,
+                                 questions=questions, scene=scene))
     return Dataset(vocab=vocab, bundles=bundles, image_dim=image_dim, place_dim=place_dim)
 
 
@@ -280,23 +270,15 @@ def atomic_write(path):
 
 def save_dataset(path, ds: Dataset):
     with atomic_write(path) as fh:
-        header = {
-            "vocab": list(ds.vocab.tokens),
-            "image_dim": ds.image_dim,
-            "place_dim": ds.place_dim,
-            "count": len(ds.bundles),
-        }
+        header = {"vocab": list(ds.vocab.tokens), "image_dim": ds.image_dim,
+                  "place_dim": ds.place_dim, "count": len(ds.bundles)}
         fh.write(json.dumps(header) + "\n")
         for b in ds.bundles:
-            rec = {
-                "id": b.id,
-                "image_feat": b.image_feat.tolist(),
-                "place_feat": b.place_feat.tolist(),
-                "caption": list(b.caption),
-                "tags": {"noun": list(b.tags.noun), "verb": list(b.tags.verb),
-                         "question": list(b.tags.question)},
-                "questions": [list(q) for q in b.questions],
-            }
+            rec = {"id": b.id, "image_feat": b.image_feat.tolist(),
+                   "place_feat": b.place_feat.tolist(), "caption": list(b.caption),
+                   "tags": {"noun": list(b.tags.noun), "verb": list(b.tags.verb),
+                            "question": list(b.tags.question)},
+                   "questions": [list(q) for q in b.questions]}
             if b.scene is not None:
                 rec["scene"] = b.scene.slots()
             fh.write(json.dumps(rec) + "\n")

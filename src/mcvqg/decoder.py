@@ -64,14 +64,9 @@ class Decoder:
         return y, v
 
     def named_params(self, prefix: str = "dec"):
-        out = {
-            f"{prefix}.in_proj.w": self.in_proj_w,
-            f"{prefix}.in_proj.b": self.in_proj_b,
-            f"{prefix}.w_out": self.w_out,
-            f"{prefix}.b_out": self.b_out,
-            f"{prefix}.w_var": self.w_var,
-            f"{prefix}.b_var": self.b_var,
-        }
+        own = {"in_proj.w": self.in_proj_w, "in_proj.b": self.in_proj_b, "w_out": self.w_out,
+               "b_out": self.b_out, "w_var": self.w_var, "b_var": self.b_var}
+        out = {f"{prefix}.{name}": t for name, t in own.items()}
         out.update(self.cell.named_params(f"{prefix}.cell"))
         return out
 
@@ -321,10 +316,7 @@ def generate_mc(dec: Decoder, enc_producer, T: int, max_len: int = 16,
                                                                       T, max_len)
         epistemic = float(np.mean(mc_statistics(logits).variance))
         aleatoric = float(np.mean([np.mean(v) for v in variances.T]))
-        uncertainty = {
-            "epistemic": epistemic,
-            "aleatoric": aleatoric,
-            "predictive": epistemic + aleatoric,
-            "committee_tokens": tokens.tolist(),
-        }
+        uncertainty = {"epistemic": epistemic, "aleatoric": aleatoric,
+                       "predictive": epistemic + aleatoric,
+                       "committee_tokens": tokens.tolist()}
         return samples, first_step_stats, uncertainty

@@ -29,9 +29,7 @@ class CueFusion:
         self.cues = tuple(cues)
         self.dropout = dropout
         self.w_img = init_matrix(dim, dim, rng.child("w_img"))
-        self.w_cue = {}
-        self.bias = {}
-        self.w_out = {}
+        self.w_cue, self.bias, self.w_out = {}, {}, {}
         for cue in self.cues:
             self.w_cue[cue] = init_matrix(dim, dim, rng.child(("w", cue)))
             self.bias[cue] = init_bias(dim)

@@ -75,11 +75,6 @@ def bleu_n(candidate, references, n: int) -> float:
 def corpus_bleu(candidates, references_list, n: int) -> float:
     """Corpus BLEU: clipped counts and totals are summed over all examples
     before taking ratios; the brevity penalty compares summed lengths."""
-    return _corpus_bleu_orders(candidates, references_list, n)[-1]
-
-
-def _corpus_bleu_orders(candidates, references_list, n: int) -> list:
-    """Corpus BLEU of every order 1..n, from one n-gram count per sentence."""
     if not 1 <= n <= BLEU_MAX_ORDER:
         raise ValueError(f"BLEU order must be 1..{BLEU_MAX_ORDER}, got {n}")
     if len(candidates) != len(references_list) or not candidates:
@@ -101,7 +96,7 @@ def _corpus_bleu_orders(candidates, references_list, n: int) -> list:
                 max_ref |= rc[k]
             totals[k][0] += _clipped(counts, max_ref)
             totals[k][1] += sum(counts.values())
-    return _bleu_from_totals(totals, c_sum, r_sum)
+    return _bleu_from_totals(totals, c_sum, r_sum)[-1]
 
 
 def _positions(tokens) -> dict:
@@ -226,10 +221,8 @@ class EvalReport:
     per_example: list
 
     def score_rows(self):
-        rows = [(f"bleu{n}", self.bleu[n]) for n in sorted(self.bleu)]
-        rows.append(("rouge_l", self.rouge_l))
-        rows.append(("cider", self.cider))
-        return rows
+        return ([(f"bleu{n}", self.bleu[n]) for n in sorted(self.bleu)]
+                + [("rouge_l", self.rouge_l), ("cider", self.cider)])
 
     def to_csv(self) -> str:
         lines = ["metric,score"]

@@ -18,7 +18,7 @@ from .cues import CUE_NAMES, CueEncoders
 from .data import BOS, PAD, Dataset
 from .decoder import Decoder
 from .fusion import CueFusion, MixtureCombiner, Moderator, mix_encoding
-from .nn import Dropout, EmbeddingTable
+from .nn import Dropout, EmbeddingTable, param_vectors
 from .rng import RngStream
 
 COMBINERS = ("moderator", "mixture")
@@ -127,6 +127,7 @@ class MultiCueModel:
                                                rng.child("mixture"))
         self.decoder = Decoder(enc_dim, embed_dim, hidden_dim, vocab_size,
                                self.dropout, rng.child("decoder"), self.embedding)
+        self.param_vector, self.grad_vector = param_vectors(self.named_params())
 
     def encode(self, batch: Batch, rng: RngStream = None,
                stochastic: bool = True) -> FusedEncoding:

@@ -1,6 +1,6 @@
 """Bayesian building blocks: the dropout setting, MC-dropout MLPs,
 variational LSTM cells, embedding tables, Monte-Carlo predictive statistics,
-and checkpoint I/O.
+checkpoint I/O and the flat vectors a model's parameters live in.
 
 A pass is stochastic exactly when it is given an `RngStream`: dropout is
 then active and each call is one posterior sample. Without a stream, dropout
@@ -282,8 +282,8 @@ def load_checkpoint(path):
 
 
 def restore_params(params: dict, arrays: dict):
-    """Copy loaded arrays into model parameters; any name or shape mismatch
-    raises with a full diff of expected vs found shapes."""
+    """Copy loaded arrays into model parameters, in place; any name or shape
+    mismatch raises with a full diff of expected vs found shapes."""
     problems = []
     for name, t in params.items():
         if name not in arrays:
@@ -297,4 +297,27 @@ def restore_params(params: dict, arrays: dict):
     if problems:
         raise ValueError("checkpoint does not match model:\n  " + "\n  ".join(problems))
     for name, t in params.items():
-        t.data = arrays[name].copy()
+        t.data[...] = arrays[name]
+
+
+def param_vectors(params: dict):
+    """The float64 (values, gradients) vectors `params` live in: in dict
+    order, each one's `data` is a view of the values and its `grad_out` the
+    same view of the gradients. Parameters not laid out so are copied into a
+    new pair; write a laid-out one in place (`data[...] =`), never rebind."""
+    tensors = list(params.values())
+    starts = np.cumsum([0] + [t.data.size for t in tensors]).tolist()
+    values, grads = (getattr(a, "base", None) for a in (tensors[0].data, tensors[0].grad_out))
+
+    def at(a, vec, lo):   # a is vec[lo:lo + a.size], reshaped
+        return (vec is not None and a is not None and a.base is vec
+                and vec.shape == (starts[-1],) and a.flags.c_contiguous
+                and a.ctypes.data == vec.ctypes.data + lo * vec.itemsize)
+
+    if not all(at(t.data, values, lo) and at(t.grad_out, grads, lo)
+               for t, lo in zip(tensors, starts)):
+        values = np.concatenate([t.data.ravel() for t in tensors])
+        grads = np.zeros_like(values)
+        for t, lo, hi in zip(tensors, starts, starts[1:]):
+            t.data, t.grad_out = (a[lo:hi].reshape(t.data.shape) for a in (values, grads))
+    return values, grads

@@ -12,6 +12,7 @@ Everything is driven by counter-based RNG streams, so a (config, seed) pair
 reproduces losses, checkpoints, and reports bitwise.
 """
 
+import itertools
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_loss,
                       targets_and_mask)
 from .metrics import evaluate_corpus
 from .model import Batch, MultiCueModel, dropout_override, make_batch
-from .nn import mc_predict, save_checkpoint
+from .nn import mc_predict, param_vectors, save_checkpoint
 from .rng import RngStream
 
 # examples per encode and decode in deterministic evaluation; bounds memory
@@ -65,31 +66,55 @@ def build_model(cfg: RunConfig, dataset: Dataset, rng: RngStream = None) -> Mult
 # optimizer
 
 class AdamOptimizer:
+    """Adam (Kingma & Ba 2015, arXiv 1412.6980) as whole-vector calls.
+
+    Parameter values and gradients are views of two float64 vectors of one
+    layout (`nn.param_vectors`), which `m` and `v` share. A step updates
+    the parameters it reaches, those whose `grad` is set (a zero gradient
+    counts); one it does not reach, like the variance head without MUMC,
+    keeps its values, `m` and `v`. Each run of adjacent reached parameters
+    is updated in place through one scratch vector and the spent gradients,
+    leaving every `grad` None, as m = b1*m + (1-b1)*g, v = b2*v +
+    ((1-b2)*g)*g and p -= lr*m_hat / (sqrt(v_hat) + eps), in that order."""
+
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self.values, self.grad = param_vectors(params)
+        self.m, self.v, self.scratch = (np.zeros_like(self.values) for _ in range(3))
+        ends = np.cumsum([p.data.size for p in params.values()]).tolist()
+        self.bounds = list(zip([0] + ends, ends))
 
     def zero(self):
-        for t in self.params.values():
-            t.zero_grad()
+        self.grad.fill(0.0)
+        for p in self.params.values():
+            p.grad = None
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
+        b1, b2, t = self.beta1, self.beta2, self.t
+        runs = []      # [lo, hi) of each run of adjacent reached parameters
+        for p, (lo, hi) in zip(self.params.values(), self.bounds):
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if p.grad is not p.grad_out:     # set by hand
+                p.grad_out[...] = p.grad
+            p.grad = None
+            if runs and runs[-1][1] == lo:
+                lo = runs.pop()[0]
+            runs.append((lo, hi))
+        for lo, hi in runs:
+            g, m, v, s = (a[lo:hi] for a in (self.grad, self.m, self.v, self.scratch))
+            v *= b2
+            v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=g)           # g is spent from here on
+            den = np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=s), out=s), self.eps, out=s)
+            num = np.multiply(np.divide(m, 1 - b1 ** t, out=g), self.lr, out=g)
+            self.values[lo:hi] -= np.divide(num, den, out=g)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +152,7 @@ def run_step(model: MultiCueModel, batch: Batch, cfg: RunConfig,
     # the refinement consumes the raw uncertainty gradient; the parameter
     # gradients carry the loss weight
     lam = mumc.uncertainty_weight
-    for p in model.named_params().values():
-        if p.grad is not None:
-            p.grad *= lam
+    model.grad_vector *= lam
 
     with tape:
         refined = mumc_refine(enc.g_enc, enc.mus, grad_enc, mumc.gamma)
@@ -189,7 +212,7 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
     curve = []
     best_val = np.inf
     best_epoch = -1
-    snapshot = {k: t.data.copy() for k, t in params.items()}   # at the best epoch
+    snapshot = model.param_vector.copy()   # at the best epoch
     batch_size = cfg.optimizer.batch_size
     for epoch in range(cfg.optimizer.epochs):
         epoch_rng = run_rng.child(("epoch", epoch))
@@ -202,9 +225,10 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
             batch = make_batch(dataset, rows, question_choice=choice)
             optimizer.zero()
             step = run_step(model, batch, cfg, epoch_rng.child(("step", start)))
-            checked = {**step, **{k: p.grad for k, p in params.items()}}
-            bad = [k for k, v in checked.items()
-                   if v is not None and not np.isfinite(v).all()]
+            bad = [k for k, v in step.items() if not np.isfinite(v)]
+            if not np.isfinite(model.grad_vector).all():
+                bad += [k for k, p in params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all()]
             if bad:
                 raise TrainingDiverged(
                     f"non-finite values at epoch {epoch}, batch ids {batch.ids}: "
@@ -235,12 +259,11 @@ def train_model(cfg: RunConfig, dataset: Dataset, log=None) -> TrainResult:
         if row["val_loss"] < best_val:
             best_val = row["val_loss"]
             best_epoch = epoch
-            snapshot = {k: t.data.copy() for k, t in params.items()}
+            snapshot[...] = model.param_vector
         if log is not None:
             log(f"epoch {epoch}: train {row['train_loss']:.4f} "
                 f"val {row['val_loss']:.4f}")
-    for name, t in params.items():
-        t.data = snapshot[name]
+    model.param_vector[...] = snapshot
     return TrainResult(model=model, curve=curve, best_epoch=best_epoch,
                        best_val_loss=best_val, train_indices=train_idx,
                        val_indices=val_idx)
@@ -274,12 +297,7 @@ def train_and_save(cfg: RunConfig, dataset: Dataset, out_dir: str,
 
 def tokens_to_words(tokens, vocab) -> list:
     """Token ids up to (excluding) the first EOS, as vocabulary words."""
-    words = []
-    for t in tokens:
-        if t == EOS:
-            break
-        words.append(vocab.token(int(t)))
-    return words
+    return [vocab.token(int(t)) for t in itertools.takewhile(lambda t: t != EOS, tokens)]
 
 
 def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
@@ -314,10 +332,8 @@ def evaluate_model(model: MultiCueModel, dataset: Dataset, indices, *,
             enc = model.encode(make_batch(dataset, chunk))
             for idx, sample in zip(chunk, generate_greedy(model.decoder, enc.g_enc,
                                                           cfg.max_len)):
-                records.append({"id": dataset.bundles[idx].id,
-                                "tokens": list(sample.tokens),
-                                "samples": [list(sample.tokens)],
-                                "epistemic": 0.0,
+                records.append({"id": dataset.bundles[idx].id, "tokens": list(sample.tokens),
+                                "samples": [list(sample.tokens)], "epistemic": 0.0,
                                 "aleatoric": sample.predictive_uncertainty,
                                 "predictive": sample.predictive_uncertainty})
     else:
@@ -396,10 +412,8 @@ def variance_records(model: MultiCueModel, dataset: Dataset, indices, *,
             feats = np.concatenate([bundle.image_feat, bundle.place_feat])
             scale = float(np.mean(np.abs(feats))) + 1e-12
             nv = float(np.mean(np.abs(mc_mean - det)) / scale)
-            records.append(VarianceRecord(id=dataset.bundles[idx].id,
-                                          mc_mean=mc_mean.copy(),
-                                          deterministic=det,
-                                          normalized_variance=nv))
+            records.append(VarianceRecord(id=bundle.id, mc_mean=mc_mean.copy(),
+                                          deterministic=det, normalized_variance=nv))
     return records
 
 

@@ -5,13 +5,16 @@ checkout.
         --seeds 1401 1402 ... 1410
 
 The parent revision is extracted with `git archive` into a temporary
-directory (local git only). For every seed, `perfbench/run.py --trace 0`
+directory (local git only), and this checkout's `src/`, `perfbench/` (without
+its results) and `BENCHMARK.json` are copied into another when the run
+starts, so an edit made while the pairs run reaches none of them. For every
+seed, `perfbench/run.py --trace 0`
 runs once in each tree, one after the other, for `BENCHMARK.json`'s
 `run_seconds`; the side that runs first alternates from pair to pair, so a
 drift in host speed hits both sides alike. At least 10 seeds are needed.
 The result goes to `BENCH_<LABEL>.json` at the root of this checkout: which
 code each side ran (the parent revision, this checkout's HEAD and whether
-its tree differed from HEAD, and a SHA-256 of each side's `src/`), each
+its tree differed from HEAD, and a SHA-256 of each side's copied `src/`), each
 pair's end-to-end metrics, and per metric the parent's and the change's
 median and quartiles, the median change in percent, and the number of
 pairs in which the change was better.
@@ -21,6 +24,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,18 @@ def extract(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def copy_change(dest: str) -> None:
+    """Copy this checkout's `src/`, `perfbench/` without its results, and
+    `BENCHMARK.json` into `dest`."""
+    def skip(dirpath, names):
+        top = os.path.abspath(dirpath) == os.path.join(ROOT, "perfbench")
+        return [n for n in names if n == "__pycache__" or (top and n == "results")]
+
+    for name in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=skip)
+    shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), dest)
 
 
 def git(*args: str) -> str:
@@ -98,19 +114,21 @@ def main(argv=None) -> int:
     if len(args.seeds) < 10:
         ap.error("a claim needs at least 10 pairs")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = bench["run_seconds"]
-    code = {"parent_rev": git("rev-parse", args.parent_rev),
-            "change_head": git("rev-parse", "HEAD"),
-            "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-            "change_src_sha256": src_sha256(ROOT)}
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
+        code = {"parent_rev": git("rev-parse", args.parent_rev),
+                "change_head": git("rev-parse", "HEAD"),
+                "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+        copy_change(change_tree)
         extract(args.parent_rev, parent_tree)
+        code["change_src_sha256"] = src_sha256(change_tree)
         code["parent_src_sha256"] = src_sha256(parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        with open(os.path.join(change_tree, "BENCHMARK.json")) as fh:
+            bench = json.load(fh)
+        directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        seconds = bench["run_seconds"]
+        trees = {"parent": parent_tree, "change": change_tree}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
