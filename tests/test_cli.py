@@ -483,6 +483,19 @@ class TestSweep:
                        f"unknown config key '{key}'"]
         assert not (tmp_path / "s").exists()
 
+    # every run trains on the one base dataset and writes under --out, so a
+    # run's config.json would record a path the run did not use
+    @pytest.mark.parametrize("key", ["dataset", "out_dir"])
+    def test_dataset_and_out_dir_axes_rejected(self, workspace, tmp_path, capsys, key):
+        manifest = self.manifest(workspace, tmp_path,
+                                 {key: [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]})
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ERROR MANIFEST_INVALID: axis '{key}' cannot vary: every run of "
+                       "a sweep trains on one dataset and writes under --out"]
+        assert not (tmp_path / "s").exists()
+
     # a number would reach open() as a file descriptor; one this large is
     # never open, so a regression here cannot read or close a live one
     @pytest.mark.parametrize("base_config", [[1], {"seed": 1}, 10**6])

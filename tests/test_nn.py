@@ -301,6 +301,30 @@ class TestMcPredict:
         assert v_high > 3 * v_low
 
 
+class TestParamVectors:
+    def test_laid_out_parameters_get_their_own_vectors_back(self):
+        params = {"w": Tensor(np.ones((2, 3)), requires_grad=True),
+                  "b": Tensor(np.arange(3.0), requires_grad=True)}
+        values, grads = nn.param_vectors(params)
+        np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 0, 1, 2])
+        again = nn.param_vectors(params)
+        assert again[0] is values and again[1] is grads
+        params["b"].data = np.arange(3.0)        # rebound: laid out anew
+        assert nn.param_vectors(params)[0] is not values
+
+    def test_first_touch_gradient_keeps_a_negative_zero(self):
+        # a sweep copies a parameter's first gradient into its slot of the
+        # gradient vector; adding it to the zeroed slot would give +0.0
+        w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        _, grads = nn.param_vectors({"w": w})
+        with Tape() as tape:
+            loss = total(ad.mul(w, Tensor([-0.0, 0.0, 2.0])))
+        tape.backward(loss)
+        assert w.grad is w.grad_out and np.shares_memory(w.grad, grads)
+        assert np.signbit(w.grad).tolist() == [True, False, False]
+        np.testing.assert_array_equal(w.grad, [0.0, 0.0, 2.0])
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = RngStream(0)

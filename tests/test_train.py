@@ -15,7 +15,7 @@ from mcvqg.decoder import (aleatoric_mc_loss, decode_teacher_forced, distorted_l
                            gen_loss, generate_greedy, mumc_refine, targets_and_mask)
 from mcvqg.metrics import evaluate_corpus
 from mcvqg.model import MultiCueModel, make_batch
-from mcvqg.nn import load_checkpoint, restore_params
+from mcvqg.nn import load_checkpoint, restore_params, save_checkpoint
 from mcvqg.rng import RngStream
 from mcvqg.train import (TrainingDiverged, build_model, curve_to_csv,
                          evaluate_model, run_step, split_indices,
@@ -292,6 +292,96 @@ class TestOptimizers:
         expected = after_one - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=0)
         assert opt.t == 2
+
+    def test_only_the_parameters_a_step_reaches_move(self):
+        # reached means `grad` is set, even to zeros; a parameter left at
+        # None keeps its values, m and v although its slice of the gradient
+        # vector reads zero
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([0.5]), requires_grad=True)
+        opt = mtrain.AdamOptimizer({"a": a, "b": b}, lr=0.1)
+        opt.zero()
+        a.grad, b.grad = np.array([0.5, -1.0]), np.array([2.0])
+        opt.step()
+        state = lambda: [x.copy() for x in (a.data, opt.m[:2], opt.v[:2], b.data)]
+        first = state()
+        opt.zero()
+        b.grad = np.array([1.0])
+        opt.step()
+        second = state()
+        for x, y in zip(first[:3], second[:3]):
+            np.testing.assert_array_equal(x, y)
+        assert second[3][0] != first[3][0]
+        opt.zero()
+        a.grad = np.zeros(2)
+        opt.step()
+        np.testing.assert_array_equal(opt.m[:2], 0.9 * second[1])
+        assert not np.array_equal(a.data, second[0])
+
+
+def assert_in_vectors(model):
+    """Every named parameter's values and gradient slot are its own slice,
+    in dict order, of the model's value and gradient vectors."""
+    lo = 0
+    for name, p in model.named_params().items():
+        hi = lo + p.data.size
+        assert np.shares_memory(p.data, model.param_vector[lo:hi]), name
+        assert np.shares_memory(p.grad_out, model.grad_vector[lo:hi]), name
+        lo = hi
+    assert lo == model.param_vector.size == model.grad_vector.size
+
+
+class TestFlatParameterVector:
+    def test_parameters_live_in_the_vector_after_build(self):
+        assert_in_vectors(build_model(tiny_config(), DS))
+
+    def test_parameters_live_in_the_vector_after_the_best_epoch_restore(self):
+        cfg = tiny_config(optimizer={"epochs": 4, "batch_size": 4, "learning_rate": 0.3})
+        result = train_model(cfg, DS)
+        assert result.best_epoch < cfg.optimizer.epochs - 1    # the snapshot was restored
+        assert_in_vectors(result.model)
+
+    def test_restore_params_writes_into_the_vector(self, tmp_path):
+        trained = train_model(tiny_config(), DS).model
+        save_checkpoint(tmp_path / "ck.json", trained.named_params())
+        model = build_model(tiny_config(seed=4), DS)
+        vector = model.param_vector
+        arrays, _ = load_checkpoint(tmp_path / "ck.json")
+        restore_params(model.named_params(), arrays)
+        assert model.param_vector is vector
+        assert_in_vectors(model)
+        assert model.param_vector.tobytes() == trained.param_vector.tobytes()
+
+    def test_a_step_after_restore_params_moves_the_restored_values(self, tmp_path):
+        # the optimizer exists before the restore, as when a run resumes
+        cfg = tiny_config()
+        model = build_model(cfg, DS)
+        params = model.named_params()
+        opt = mtrain.AdamOptimizer(params, 0.05)
+        save_checkpoint(tmp_path / "ck.json", train_model(cfg, DS).model.named_params())
+        arrays, _ = load_checkpoint(tmp_path / "ck.json")
+        restore_params(params, arrays)
+        opt.zero()
+        run_step(model, make_batch(DS, range(4)), cfg, RngStream(0).child("s"))
+        # with one fused cue the gate's softmax is constant: its net gets zeros
+        pushed = [k for k, p in params.items() if p.grad is not None and p.grad.any()]
+        opt.step()
+        moved = [k for k, p in params.items() if not np.array_equal(p.data, arrays[k])]
+        assert len(pushed) > 20 and moved == pushed
+
+    def test_unreached_variance_head_keeps_its_bytes_and_no_gradient(self):
+        cfg = tiny_config(mumc_enabled=False)
+        heads = ("dec.w_var", "dec.b_var")
+        fresh = build_model(cfg, DS).named_params()
+        before = {k: fresh[k].data.tobytes() for k in heads}
+        model = build_model(cfg, DS)
+        run_step(model, make_batch(DS, range(4)), cfg, RngStream(0).child("s"))
+        params = model.named_params()
+        assert [params[k].grad is None for k in heads] == [True, True]
+        assert params["dec.w_out"].grad is not None
+        trained = train_model(cfg, DS).model.named_params()
+        assert {k: trained[k].data.tobytes() for k in heads} == before
+        assert trained["dec.w_out"].data.tobytes() != fresh["dec.w_out"].data.tobytes()
 
 
 class TestTrainModel:
