@@ -34,7 +34,7 @@ MUTANTS = {
         "decoder.py", (("np.argmax(y.data.reshape(count, size, -1).sum(axis=1) / size, axis=1)",
                         "np.argmax(y.data.reshape(count, size, -1)[:, 0], axis=1)"),)),
     "aleatoric loss draws the same noise at every step": (
-        "decoder.py", (('rng.child(("eps", t))', 'rng.child(("eps", 0))'),)),
+        "decoder.py", (('eps[:, t] = rng.child(("eps", t))', 'eps[:, t] = rng.child(("eps", 0))'),)),
     "uncertainty loss weight ignored": (
         "train.py", (("lam = mumc.uncertainty_weight", "lam = 1.0"),)),
     "last epoch kept instead of the best": (
