@@ -303,7 +303,10 @@ class TestOptimizers:
         opt.zero()
         a.grad, b.grad = np.array([0.5, -1.0]), np.array([2.0])
         opt.step()
-        state = lambda: [x.copy() for x in (a.data, opt.m[:2], opt.v[:2], b.data)]
+
+        def state():
+            return [x.copy() for x in (a.data, opt.m[:2], opt.v[:2], b.data)]
+
         first = state()
         opt.zero()
         b.grad = np.array([1.0])
