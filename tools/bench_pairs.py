@@ -5,19 +5,19 @@ checkout.
         --seeds 1401 1402 ... 1410
 
 The parent revision is extracted with `git archive` into a temporary
-directory (local git only), and this checkout's `src/`, `perfbench/` (without
-its results) and `BENCHMARK.json` are copied into another when the run
-starts, so an edit made while the pairs run reaches none of them. For every
-seed, `perfbench/run.py --trace 0`
-runs once in each tree, one after the other, for `BENCHMARK.json`'s
-`run_seconds`; the side that runs first alternates from pair to pair, so a
-drift in host speed hits both sides alike. At least 10 seeds are needed.
-The result goes to `BENCH_<LABEL>.json` at the root of this checkout: which
-code each side ran (the parent revision, this checkout's HEAD and whether
-its tree differed from HEAD, and a SHA-256 of each side's copied `src/`), each
-pair's end-to-end metrics, and per metric the parent's and the change's
-median and quartiles, the median change in percent, and the number of
-pairs in which the change was better.
+directory (local git only), and this checkout's `src/`, `perfbench/`
+(without its results) and `BENCHMARK.json` are copied into another when the
+run starts, so an edit made while the pairs run reaches none of them. For
+every seed, `perfbench/run.py --trace 0` runs once in each tree, one after
+the other, for `BENCHMARK.json`'s `run_seconds`; the side that runs first
+alternates from pair to pair, so a drift in host speed hits both sides
+alike. At least 10 seeds are needed. The result goes to `BENCH_<LABEL>.json`
+at the root of this checkout: which code each side ran (the parent
+revision, this checkout's HEAD and whether its tree differed from HEAD, and
+a SHA-256 of each side's copied `src/`), each pair's end-to-end metrics,
+and per metric the parent's and the change's median and quartiles, the
+median change in percent, and the number of pairs in which the change was
+better.
 """
 
 import argparse
