@@ -19,6 +19,18 @@ with one node and a hand-written backward: `lrt_log_likelihood` scores a
 whole noise slab, `row_dots` and `weighted_sum` take every moderator cue at
 once, and `lstm_step` returns (h', c') as one two-output node whose backward
 takes both output gradients. It counts as one in `len(tape)`.
+
+`lstm_sequence` runs a whole LSTM sequence as one node: the caption and tag
+encoders and the teacher-forced decoder each record one, where they used to
+record a gather and a step per token (and the decoder two heads per token
+and two joins). It keeps the per-step (B, .) matmuls and repeats the
+per-step chain's sweep, so values and gradients stay bit for bit those of
+the chain. The decoder's logit and variance heads sit inside its node: each
+step's hidden state sums three gradients (next step, variance head, logit
+head) in that order, and a separate heads node would sum them in another
+and move the last bits. `lstm_step` and `lstm_sequence` share one forward
+and one backward helper, and `softplus` shares its formula with the
+sequence's variance head.
 """
 
 import threading
@@ -262,12 +274,15 @@ def exp(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; strictly positive output."""
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward_fn(g):
         _accum(a, g * _sigmoid(x))
 
-    return _make(out, (a,), backward_fn)
+    return _make(_softplus(x), (a,), backward_fn)
+
+
+def _softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +350,8 @@ def _check_ids(op: str, ids: np.ndarray, count: int, what: str):
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows of a (V, n) table by integer id: an embedding lookup, or
-    each row's state at its own length from time-stacked states."""
+    """Select rows of a (V, n) table by integer id: the embedding lookup of
+    a step whose token is not known in advance (free-running decoding)."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2 or ids.ndim != 1:
         raise ShapeError(f"gather_rows: table {table.data.shape}, ids {ids.shape}")
@@ -511,7 +526,58 @@ def lrt_log_likelihood(y: Tensor, v: Tensor, eps, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused LSTM step
+# fused LSTM step and sequence
+
+def _check_lstm(op, x_shape, hd, cd, wxd, whd, bd, gate_mask, out_mask):
+    """Raise ShapeError unless h, c, the weights and the masks fit a step
+    whose input is x_shape = (rows, width)."""
+    n = hd.shape[1] if hd.ndim == 2 else -1
+    if (len(x_shape) != 2 or hd.shape != (x_shape[0], n) or cd.shape != hd.shape
+            or wxd.shape != (x_shape[1], 4 * n) or whd.shape != (n, 4 * n)
+            or bd.shape != (4 * n,)):
+        raise ShapeError(f"{op}: x {x_shape}, h {hd.shape}, c {cd.shape}, "
+                         f"wx {wxd.shape}, wh {whd.shape}, b {bd.shape}")
+    for name, arr, shape in (("gate_mask", gate_mask, (x_shape[0], 4 * n)),
+                             ("out_mask", out_mask, hd.shape)):
+        if arr is not None and np.shape(arr) != shape:
+            raise ShapeError(f"{op}: {name} {np.shape(arr)} does not match {shape}")
+
+
+def _lstm_forward(xd, hd, cd, wxd, whd, bd, gate_mask, out_mask):
+    """One step's (h', c') and the activations (s, gc, tc) its backward reads."""
+    n = hd.shape[1]
+    pre = xd @ wxd + bd + hd @ whd
+    if gate_mask is not None:
+        pre = pre * gate_mask
+    s = _sigmoid(pre[:, :3 * n])
+    gc = np.tanh(pre[:, 3 * n:])
+    c_new = s[:, n:2 * n] * cd + s[:, :n] * gc
+    tc = np.tanh(c_new)
+    h_new = s[:, 2 * n:] * tc
+    if out_mask is not None:
+        h_new = h_new * out_mask
+    return h_new, c_new, (s, gc, tc)
+
+
+def _lstm_backward(g_h, g_c, cd, acts, gate_mask, out_mask):
+    """(d pre, d c) of one step from the gradients of its h' and c', either
+    of which may be None, but not both."""
+    s, gc, tc = acts
+    n = tc.shape[1]
+    if g_h is None:
+        g_go = np.zeros_like(tc)
+    else:
+        if out_mask is not None:
+            g_h = g_h * out_mask
+        g_go = g_h * tc
+        g_tanh = g_h * s[:, 2 * n:] * (1.0 - tc * tc)
+        g_c = g_tanh if g_c is None else g_c + g_tanh
+    g_s = np.concatenate([g_c * gc, g_c * cd, g_go], axis=1)
+    g_pre = np.concatenate([g_s * s * (1.0 - s), g_c * s[:, :n] * (1.0 - gc * gc)], axis=1)
+    if gate_mask is not None:
+        g_pre = g_pre * gate_mask
+    return g_pre, g_c * s[:, n:2 * n]
+
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
               gate_mask=None, out_mask=None):
@@ -520,52 +586,21 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
     pre = (x @ wx + b) + h @ wh on (B, in) / (B, n) rows, times gate_mask
     (B, 4n), with the gates packed as input, forget, output, candidate;
     c' = f*c + i*g and h' = o*tanh(c'), times out_mask (B, n). The masks
-    are arrays without gradient; None means none. Padding is not handled
-    here: a caller with ragged rows runs every step and picks each row's
-    state at its own length (see `cues.encode_caption`). The forward
-    evaluates in the order of the same step composed from single ops
-    (affine, matmul, add, dropout, sigmoid, tanh, mul), and the backward
-    adds into each input in that composition's sweep order, so values and
-    gradients equal the composed step's bit for bit.
+    are arrays without gradient; None means none. The forward evaluates in
+    the order of the same step composed from single ops (affine, matmul,
+    add, dropout, sigmoid, tanh, mul), and the backward adds into each input
+    in that composition's sweep order, so values and gradients equal the
+    composed step's bit for bit. A known sequence runs as one
+    `lstm_sequence` node instead; this op serves the step that consumes an
+    encoding and free-running decoding, whose next input is not known yet.
     """
-    xd, hd, cd, wxd, whd, bd = x.data, h.data, c.data, wx.data, wh.data, b.data
-    rows, n = hd.shape if hd.ndim == 2 else (-1, -1)
-    if (xd.ndim != 2 or xd.shape[0] != rows or cd.shape != hd.shape
-            or wxd.shape != (xd.shape[1], 4 * n) or whd.shape != (n, 4 * n)
-            or bd.shape != (4 * n,)):
-        raise ShapeError(f"lstm_step: x {xd.shape}, h {hd.shape}, c {cd.shape}, "
-                         f"wx {wxd.shape}, wh {whd.shape}, b {bd.shape}")
-    for name, arr, shape in (("gate_mask", gate_mask, (rows, 4 * n)),
-                             ("out_mask", out_mask, hd.shape)):
-        if arr is not None and np.shape(arr) != shape:
-            raise ShapeError(f"lstm_step: {name} {np.shape(arr)} does not match {shape}")
-    pre = xd @ wxd + bd + hd @ whd
-    if gate_mask is not None:
-        pre = pre * gate_mask
-    s = _sigmoid(pre[:, :3 * n])
-    gi, gf, go = s[:, :n], s[:, n:2 * n], s[:, 2 * n:]
-    gc = np.tanh(pre[:, 3 * n:])
-    c_new = gf * cd + gi * gc
-    tc = np.tanh(c_new)
-    h_new = go * tc
-    if out_mask is not None:
-        h_new = h_new * out_mask
+    xd, hd, cd, wxd, whd = x.data, h.data, c.data, wx.data, wh.data
+    _check_lstm("lstm_step", xd.shape, hd, cd, wxd, whd, b.data, gate_mask, out_mask)
+    h_new, c_new, acts = _lstm_forward(xd, hd, cd, wxd, whd, b.data, gate_mask, out_mask)
 
-    def backward_fn(grads):
-        g_h, g_c = grads     # of h' and c'; None for an output that got none
-        if g_h is None:
-            g_go = np.zeros_like(tc)
-        else:
-            if out_mask is not None:
-                g_h = g_h * out_mask
-            g_go = g_h * tc
-            g_tanh = g_h * go * (1.0 - tc * tc)
-            g_c = g_tanh if g_c is None else g_c + g_tanh
-        g_s = np.concatenate([g_c * gc, g_c * cd, g_go], axis=1)
-        g_pre = np.concatenate([g_s * s * (1.0 - s), g_c * gi * (1.0 - gc * gc)], axis=1)
-        if gate_mask is not None:
-            g_pre = g_pre * gate_mask
-        _accum(c, g_c * gf)
+    def backward_fn(grads):     # of h' and c'; None for an output that got none
+        g_pre, g_c = _lstm_backward(*grads, cd, acts, gate_mask, out_mask)
+        _accum(c, g_c)
         _accum(h, g_pre @ whd.T)
         _accum(wh, hd.T @ g_pre)
         _accum(x, g_pre @ wxd.T)
@@ -573,6 +608,116 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
         _accum(b, g_pre.sum(axis=0))
 
     return _make((h_new, c_new), (x, h, c, wx, wh, b), backward_fn)
+
+
+def lstm_sequence(table: Tensor, ids, wx: Tensor, wh: Tensor, b: Tensor, gate_mask=None,
+                  out_mask=None, state=None, pick=None, heads=None):
+    """A whole LSTM sequence as one tape node.
+
+    Step t reads rows ids[t] of the (V, in) embedding table, for (L, B)
+    time-major ids, and runs the gate math of `lstm_step` under the same
+    masks at every step, from state = (h, c) tensors or from zeros. The
+    node returns:
+    - with heads = (w_out, b_out, w_var, b_var): (logits, variances), each
+      time-major (L*B, V), row t*B + b for step t of row b: h_t @ w_out +
+      b_out and softplus(h_t @ w_var + b_var), as one two-output node;
+    - otherwise the (B, n) hidden state of row b after step pick[b], or
+      after the last step when pick is None.
+
+    Values and gradients equal, bit for bit, those of the composition it
+    replaces: a `gather_rows` and an `lstm_step` per step, then per step an
+    `affine` logit head and a softplus'd `affine` variance head joined by
+    `concat` (heads), or `gather_rows` from the `concat` of the per-step
+    states (pick). So the forward keeps the per-step (B, .) matmuls, and
+    the backward sweeps the steps from L - 1 down to 0 as the tape sweeps
+    that composition: each parameter is added into once per step, a step's
+    h sums its gradients as ((next step + variance head) + logit head), the
+    table gets one `np.add.at` per step, and a step that gets no gradient
+    is skipped.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    td, wxd, whd, bd = table.data, wx.data, wh.data, b.data
+    if ids.ndim != 2 or not ids.shape[0] or td.ndim != 2:
+        raise ShapeError(f"lstm_sequence: table {td.shape}, ids {ids.shape}")
+    steps, rows = ids.shape
+    if state is None:
+        n = whd.shape[0] if whd.ndim == 2 else 0
+        hd, cd = np.zeros((rows, n)), np.zeros((rows, n))
+    else:
+        hd, cd = state[0].data, state[1].data
+    _check_lstm("lstm_sequence", (rows, td.shape[1]), hd, cd, wxd, whd, bd, gate_mask,
+                out_mask)
+    n = hd.shape[1]
+    _check_ids("lstm_sequence", ids, td.shape[0], "rows")
+    if pick is not None:
+        pick = np.asarray(pick, dtype=np.int64)
+        if pick.shape != (rows,):
+            raise ShapeError(f"lstm_sequence: pick {pick.shape} for {rows} rows")
+        _check_ids("lstm_sequence", pick, steps, "steps")
+    xs = td[ids]
+    hs, cs, acts = [hd], [cd], []
+    for x in xs:
+        h, c, a = _lstm_forward(x, hs[-1], cs[-1], wxd, whd, bd, gate_mask, out_mask)
+        hs.append(h)
+        cs.append(c)
+        acts.append(a)
+    cs.pop()                   # the backward reads c_{t-1} at step t, never the last c
+    if heads is not None:
+        wo, bo, wv, bv = (p.data for p in heads)
+        if not (wo.ndim == 2 and wo.shape[0] == n and wv.shape == wo.shape
+                and bo.shape == bv.shape == (wo.shape[1],)):
+            raise ShapeError(f"lstm_sequence: heads {wo.shape} {bo.shape} {wv.shape} "
+                             f"{bv.shape} for hidden size {n}")
+        logits, zv = (np.empty((steps * rows, wo.shape[1])) for _ in range(2))
+        for t in range(steps):
+            logits[t * rows:(t + 1) * rows] = hs[t + 1] @ wo + bo
+            zv[t * rows:(t + 1) * rows] = hs[t + 1] @ wv + bv
+        out = (logits, _softplus(zv))
+    else:
+        out = hs[-1] if pick is None else np.stack(hs[1:])[pick, np.arange(rows)]
+        hs.pop()               # nor the last h, without heads
+
+    def head(g_h, g, h, w, bias):
+        """Add an affine head's gradient at h into g_h, and its weights'."""
+        d = g @ w.data.T
+        _accum(w, h.T @ g)
+        _accum(bias, g.sum(axis=0))
+        return d if g_h is None else g_h + d
+
+    def backward_fn(grads):
+        if pick is not None:   # as gather_rows leaves the concatenated states' gradient
+            picked = np.zeros((steps, rows, n))
+            np.add.at(picked, (pick, np.arange(rows)), grads)
+        g_h = g_c = None       # from step t + 1
+        for t in reversed(range(steps)):
+            if heads is not None:
+                r, (g_y, g_v) = slice(t * rows, (t + 1) * rows), grads
+                if g_v is not None:
+                    g_h = head(g_h, g_v[r] * _sigmoid(zv[r]), hs[t + 1], *heads[2:])
+                if g_y is not None:
+                    g_h = head(g_h, g_y[r], hs[t + 1], *heads[:2])
+            elif pick is not None:
+                g_h = picked[t] if g_h is None else g_h + picked[t]
+            elif t == steps - 1:
+                g_h = grads
+            if g_h is None and g_c is None:
+                continue
+            g_pre, g_c = _lstm_backward(g_h, g_c, cs[t], acts[t], gate_mask, out_mask)
+            if t:
+                g_h = g_pre @ whd.T
+            elif state is not None:
+                _accum(state[1], g_c)
+                _accum(state[0], g_pre @ whd.T)
+            _accum(wh, hs[t].T @ g_pre)
+            if table.requires_grad:
+                if table.grad is None:
+                    _accum(table, np.zeros_like(td))
+                np.add.at(table.grad, ids[t], g_pre @ wxd.T)
+            _accum(wx, xs[t].T @ g_pre)
+            _accum(b, g_pre.sum(axis=0))
+
+    return _make(out, (table, wx, wh, b) + tuple(state or ()) + tuple(heads or ()),
+                 backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ the shared d-dimensional embedding space."""
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TAG_SLOTS
 from .nn import BayesianLSTMCell, BayesianMLP, Dropout, EmbeddingTable
@@ -18,8 +17,7 @@ def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.nd
     """Hidden state of each caption at its true length; `ids` is (B, L) with
     PAD right-padding and `lengths` the true lengths, each in [1, L]. Every
     row runs all L steps, and row b's state after step lengths[b] - 1 is
-    picked from the stacked per-step states, so padding never reaches the
-    encoding or its gradient."""
+    picked, so padding never reaches the encoding or its gradient."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError(f"caption ids must be (B, L>=1), got {ids.shape}")
@@ -28,10 +26,7 @@ def encode_caption(cell: BayesianLSTMCell, embedding: EmbeddingTable, ids: np.nd
     if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > steps:
         raise ValueError(f"caption lengths must be {batch} values in [1, {steps}], "
                          f"got {lengths.tolist()}")
-    inputs = [embedding.lookup(ids[:, t]) for t in range(steps)]
-    states, _ = cell.sequence(inputs, rng=rng)
-    # state t of row b is row t*B + b of the stack
-    return ad.gather_rows(ad.concat(states, axis=0), (lengths - 1) * batch + np.arange(batch))
+    return cell.sequence(embedding.weight, ids.T, rng, lengths)
 
 
 def encode_tags(cell: BayesianLSTMCell, embedding: EmbeddingTable, tag_ids: np.ndarray,
@@ -41,9 +36,7 @@ def encode_tags(cell: BayesianLSTMCell, embedding: EmbeddingTable, tag_ids: np.n
     tag_ids = np.asarray(tag_ids, dtype=np.int64)
     if tag_ids.ndim != 2 or tag_ids.shape[1] != 3 * TAG_SLOTS:
         raise ValueError(f"tag ids must be (B, {3 * TAG_SLOTS}), got {tag_ids.shape}")
-    inputs = [embedding.lookup(tag_ids[:, t]) for t in range(tag_ids.shape[1])]
-    _, final = cell.sequence(inputs, rng=rng)
-    return final
+    return cell.sequence(embedding.weight, tag_ids.T, rng)
 
 
 class CueEncoders:

@@ -293,8 +293,9 @@ def _check_ids(ids, vocab_size, line_no, what):
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset; malformed lines (a header vocab that repeats a
     token, a feature width or token id that is not a JSON integer (true and
-    false are not), an empty caption, a non-finite or non-numeric feature,
-    or a scene that is not an object of the five slots among them) raise
+    false are not), an empty caption, a question with PAD or BOS in it or
+    EOS anywhere but at its end, a non-finite or non-numeric feature, or a
+    scene that is not an object of the five slots among them) raise
     ValueError with their line number, and so does a header with no
     examples after it."""
     with open(path) as fh:
@@ -356,6 +357,11 @@ def load_dataset(path) -> Dataset:
             _check_ids(q, vsz, k, "question")
             if not q or q[-1] != EOS:
                 raise ValueError(f"line {k}: question does not end with EOS")
+            if PAD in q or BOS in q or EOS in q[:-1]:
+                # a loss mask would drop an interior PAD, and scoring cuts
+                # the reference at its first EOS
+                raise ValueError(f"line {k}: question holds PAD, BOS or an EOS before "
+                                 "its end")
         _check_ids(tags.sequence(), vsz, k, "tags")
         try:
             tags.validate(vocab)

@@ -99,20 +99,19 @@ def decode_teacher_forced(dec: Decoder, g_enc: Tensor, gold: np.ndarray,
     hidden state after gold[t] scores gold[t+1]. The heads run once per
     step. Dropout applies the LSTM `masks` (from `dec.cell.sample_masks`),
     and is off without them. Returns (logits, variances), each one
-    time-major ((L-1)*B, V) tensor: row t*B + b is step t of example b."""
+    time-major ((L-1)*B, V) tensor: row t*B + b is step t of example b.
+
+    The steps and both heads are one `lstm_sequence` node. The heads sit
+    inside it because a step's hidden state sums the gradients of the next
+    step and of both heads in the order a per-step sweep does, which a
+    separate heads node would change in the last bits."""
     gold = check_gold(gold)
-    batch, length = gold.shape
     if masks is None:
-        masks = dec.cell.sample_masks(batch)
-    h, c = _start(dec, g_enc, masks)
-    logits, variances = [], []
-    for t in range(length - 1):
-        x = dec.embedding.lookup(gold[:, t])
-        h, c = dec.cell.step(x, h, c, masks)
-        y, v = dec.heads(h)
-        logits.append(y)
-        variances.append(v)
-    return ad.concat(logits, axis=0), ad.concat(variances, axis=0)
+        masks = dec.cell.sample_masks(gold.shape[0])
+    cell = dec.cell
+    return ad.lstm_sequence(dec.embedding.weight, gold[:, :-1].T, cell.wx, cell.wh, cell.b,
+                            masks.gates, masks.out, state=_start(dec, g_enc, masks),
+                            heads=(dec.w_out, dec.b_out, dec.w_var, dec.b_var))
 
 
 def _neg_masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:

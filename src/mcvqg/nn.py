@@ -149,25 +149,22 @@ class BayesianLSTMCell:
         z = np.zeros((batch, self.hidden_size))
         return Tensor(z), Tensor(z.copy())
 
-    def sequence(self, inputs, rng: RngStream = None):
-        """Run the cell over a list of (B, input) tensors under one mask
-        draw from `rng` (no dropout without it), tied across timesteps.
+    def sequence(self, table: Tensor, ids, rng: RngStream = None, lengths=None) -> Tensor:
+        """Run the cell from zeros over the embedding rows of (L, B)
+        time-major `ids`, as one `lstm_sequence` node, under one mask draw
+        from `rng` (no dropout without it) tied across timesteps.
 
-        Every row runs every step; a caller with right-padded rows picks
-        each row's state at its true length from the per-step states.
-        Returns (per-step hidden states, final hidden state).
+        Every row runs every step. Returns each row's hidden state after
+        its own length (lengths, each in [1, L]), or after step L - 1.
         """
-        inputs = list(inputs)
-        if not inputs:
-            raise ValueError("lstm sequence: empty input")
-        batch = inputs[0].shape[0]
-        masks = self.sample_masks(batch, rng)
-        h, c = self.initial_state(batch)
-        outputs = []
-        for x in inputs:
-            h, c = self.step(x, h, c, masks)
-            outputs.append(h)
-        return outputs, h
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 2 or not ids.size:
+            raise ValueError(f"lstm sequence: ids must be a nonempty (L, B) array, "
+                             f"got {ids.shape}")
+        masks = self.sample_masks(ids.shape[1], rng)
+        pick = None if lengths is None else np.asarray(lengths, dtype=np.int64) - 1
+        return ad.lstm_sequence(table, ids, self.wx, self.wh, self.b, masks.gates, masks.out,
+                                pick=pick)
 
     def named_params(self, prefix: str):
         return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
@@ -303,8 +300,11 @@ def restore_params(params: dict, arrays: dict):
 def param_vectors(params: dict):
     """The float64 (values, gradients) vectors `params` live in: in dict
     order, each one's `data` is a view of the values and its `grad_out` the
-    same view of the gradients. Parameters not laid out so are copied into a
-    new pair; write a laid-out one in place (`data[...] =`), never rebind."""
+    same view of the gradients. Fresh parameters (no `grad_out` yet) are
+    copied into a new pair. Raises ValueError, naming the parameter, rather
+    than move one that has a `grad_out` out of the pair it lives in (a
+    subset or reordering of a laid-out dict, or a rebound `data`): write a
+    laid-out parameter in place (`data[...] =`), never rebind."""
     tensors = list(params.values())
     starts = np.cumsum([0] + [t.data.size for t in tensors]).tolist()
     values, grads = (getattr(a, "base", None) for a in (tensors[0].data, tensors[0].grad_out))
@@ -316,6 +316,10 @@ def param_vectors(params: dict):
 
     if not all(at(t.data, values, lo) and at(t.grad_out, grads, lo)
                for t, lo in zip(tensors, starts)):
+        laid = [name for name, t in params.items() if t.grad_out is not None]
+        if laid:
+            raise ValueError(f"param_vectors: parameter {laid[0]} already lives in a "
+                             "vector pair; pass the whole dict it was laid out with")
         values = np.concatenate([t.data.ravel() for t in tensors])
         grads = np.zeros_like(values)
         for t, lo, hi in zip(tensors, starts, starts[1:]):

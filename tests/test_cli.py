@@ -156,7 +156,8 @@ class TestTrain:
                                              ("image_feat", float("nan")),
                                              ("image_feat", "x"),
                                              ("scene", {"foo": 1}),
-                                             ("scene", [1])])
+                                             ("scene", [1]),
+                                             ("questions", [[5, 0, 1, 2, 2]])])
     def test_bad_example_is_one_dataset_error(self, workspace, tmp_path, capsys,
                                               field, value):
         lines = (workspace / "data.jsonl").read_text().splitlines()

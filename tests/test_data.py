@@ -211,6 +211,18 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 2.*EOS"):
             load_dataset(self._write(tmp_path, lines))
 
+    @pytest.mark.parametrize("inner", [[PAD], [BOS], [EOS], [PAD, BOS, EOS]])
+    def test_question_with_a_reserved_token_inside(self, tmp_path, inner):
+        # tags keep PAD (test_all_pad_tags_encode_as_pad_sequence); a question
+        # may not: the loss would mask it out and scoring would cut at EOS
+        lines = self._valid_lines()
+        rec = json.loads(lines[1])
+        q = rec["questions"][0]
+        rec["questions"][0] = q[:1] + inner + q[1:]
+        lines[1] = json.dumps(rec)
+        with pytest.raises(ValueError, match="line 2: question holds PAD, BOS or an EOS"):
+            load_dataset(self._write(tmp_path, lines))
+
     def test_feature_dim_mismatch(self, tmp_path):
         lines = self._valid_lines()
         rec = json.loads(lines[2])

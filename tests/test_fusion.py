@@ -73,8 +73,11 @@ class TestCueEncoders:
         enc = self._encoders()
         tag_ids = np.zeros((1, 15), dtype=np.int64)
         got = cues.encode_tags(enc.tag_cell, enc.embedding, tag_ids)
-        inputs = [enc.embedding.lookup(np.array([PAD])) for _ in range(15)]
-        _, want = enc.tag_cell.sequence(inputs)
+        cell = enc.tag_cell
+        want, c = cell.initial_state(1)
+        for _ in range(15):
+            want, c = cell.step(enc.embedding.lookup(np.array([PAD])), want, c,
+                                cell.sample_masks(1))
         assert np.array_equal(got.data, want.data)
 
     def test_encode_shapes_and_determinism(self):

@@ -99,10 +99,10 @@ class TestBayesianLSTMCell:
         cell = nn.BayesianLSTMCell(2, 3, nn.Dropout(0.0, "bernoulli"), rng=RngStream(0))
         for t in (cell.wx, cell.wh, cell.b):
             t.data = np.zeros_like(t.data)
-        inputs = [Tensor(np.zeros((2, 2))) for _ in range(4)]
-        hs, h = cell.sequence(inputs)
-        assert all(np.array_equal(s.data, np.zeros((2, 3))) for s in hs)
-        assert np.array_equal(h.data, np.zeros((2, 3)))
+        table, ids = Tensor(np.zeros((3, 2))), np.zeros((4, 2), dtype=np.int64)
+        for lengths in ([1, 1], [2, 3], [4, 4], None):     # the state at every step
+            h = cell.sequence(table, ids, lengths=lengths)
+            assert np.array_equal(h.data, np.zeros((2, 3)))
 
     def test_single_step_matches_manual(self):
         cell = nn.BayesianLSTMCell(3, 4, nn.Dropout(0.0, "bernoulli"), rng=RngStream(1))
@@ -118,8 +118,7 @@ class TestBayesianLSTMCell:
         cell = nn.BayesianLSTMCell(2, 5, nn.Dropout(0.5, "bernoulli"), rng=RngStream(2))
         rng = RngStream(3)
         x = np.array([[1.0, -1.0]])
-        inputs = [Tensor(x) for _ in range(3)]
-        _, h = cell.sequence(inputs, rng=rng)
+        h = cell.sequence(Tensor(x), np.zeros((3, 1), dtype=np.int64), rng=rng)
         # oracle reuses, every step, the masks the same stream draws
         masks = cell.sample_masks(1, rng)
         hh = np.zeros((1, 5))
@@ -131,21 +130,22 @@ class TestBayesianLSTMCell:
 
     def test_sequence_draws_masks_once_from_stream(self):
         cell = nn.BayesianLSTMCell(2, 4, nn.Dropout(0.5, "bernoulli"), rng=RngStream(4))
-        inputs = [Tensor(np.ones((2, 2))) for _ in range(4)]
-        _, a = cell.sequence(inputs, rng=RngStream(9, stream=1))
-        _, b = cell.sequence(inputs, rng=RngStream(9, stream=1))
+        table, ids = Tensor(np.ones((1, 2))), np.zeros((4, 2), dtype=np.int64)
+        a = cell.sequence(table, ids, rng=RngStream(9, stream=1))
+        b = cell.sequence(table, ids, rng=RngStream(9, stream=1))
         assert np.array_equal(a.data, b.data)
 
     def test_gradients_match_fd_with_frozen_masks(self):
         cell = nn.BayesianLSTMCell(2, 3, nn.Dropout(0.3, "bernoulli"), rng=RngStream(6))
-        inputs = [Tensor(np.array([[0.5, -0.2], [0.1, 0.8]])) for _ in range(3)]
+        # rows 0 and 1 of the table are the two rows' input at every step
+        table, ids = Tensor(np.array([[0.5, -0.2], [0.1, 0.8]])), np.array([[0, 1]] * 3)
         rng = RngStream(10)
         masks = cell.sample_masks(2, rng)
         assert masks.gates is not None and masks.out is not None
 
         def f():
             # the same stream draws the same masks on every call
-            _, h = cell.sequence(inputs, rng=rng)
+            h = cell.sequence(table, ids, rng=rng)
             return total(ad.mul(h, h))
 
         params = list(cell.named_params("cell").values())
@@ -309,8 +309,9 @@ class TestParamVectors:
         np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 0, 1, 2])
         again = nn.param_vectors(params)
         assert again[0] is values and again[1] is grads
-        params["b"].data = np.arange(3.0)        # rebound: laid out anew
-        assert nn.param_vectors(params)[0] is not values
+        params["b"].data = np.arange(3.0)   # rebound: w and b would leave their pair
+        with pytest.raises(ValueError, match="parameter w already lives"):
+            nn.param_vectors(params)
 
     def test_first_touch_gradient_keeps_a_negative_zero(self):
         # a sweep copies a parameter's first gradient into its slot of the

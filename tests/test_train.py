@@ -272,6 +272,26 @@ class TestOptimizers:
         assert any(not np.array_equal(p.data, before[k])
                    for k, p in params.items())
 
+    def test_adam_on_a_model_shares_its_vectors(self):
+        # fresh tensors get a new pair; a model's own dict keeps the model's
+        model = build_model(tiny_config(), DS)
+        opt = mtrain.AdamOptimizer(model.named_params(), 0.01)
+        assert opt.values is model.param_vector and opt.grad is model.grad_vector
+        fresh = {"p": Tensor(np.ones(3), requires_grad=True)}
+        opt = mtrain.AdamOptimizer(fresh, 0.01)
+        assert np.shares_memory(fresh["p"].data, opt.values)
+        assert not np.shares_memory(opt.values, model.param_vector)
+
+    def test_adam_on_a_subset_of_a_model_raises(self):
+        # it would move the subset out of the model's vectors, where the
+        # loss weight, the finite check and the snapshot act
+        model = build_model(tiny_config(), DS)
+        dec = {k: p for k, p in model.named_params().items() if k.startswith("dec.")}
+        with pytest.raises(ValueError, match=r"parameter dec\.\S+ already lives"):
+            mtrain.AdamOptimizer(dec, 0.01)
+        assert all(np.shares_memory(p.data, model.param_vector) and
+                   np.shares_memory(p.grad_out, model.grad_vector) for p in dec.values())
+
     def test_adam_two_steps_by_hand(self):
         # Kingma & Ba (2015), Algorithm 1, at beta1 0.9, beta2 0.999, eps 1e-8
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)

@@ -64,6 +64,30 @@ MUTANTS = {
         "train.py", (("    model.param_vector[...] = snapshot\n", "    pass\n"),)),
     "restore_params rebinds .data instead of writing into the vector": (
         "nn.py", (("t.data[...] = arrays[name]", "t.data = arrays[name].copy()"),)),
+    "sequence node sums a decoder state's gradients as ((next + logit) + variance)": (
+        "autodiff.py", ((
+            "                if g_v is not None:\n"
+            "                    g_h = head(g_h, g_v[r] * _sigmoid(zv[r]), hs[t + 1], *heads[2:])\n"
+            "                if g_y is not None:\n"
+            "                    g_h = head(g_h, g_y[r], hs[t + 1], *heads[:2])\n",
+            "                if g_y is not None:\n"
+            "                    g_h = head(g_h, g_y[r], hs[t + 1], *heads[:2])\n"
+            "                if g_v is not None:\n"
+            "                    g_h = head(g_h, g_v[r] * _sigmoid(zv[r]), hs[t + 1], *heads[2:])\n"),)),
+    "LSTM backward skips the output dropout mask": (
+        "autodiff.py", (("        if out_mask is not None:\n            g_h = g_h * out_mask\n",
+                         "        if False:\n            g_h = g_h * out_mask\n"),)),
+    "caption gradient enters at the last step, not at each row's length": (
+        "autodiff.py", (("np.add.at(picked, (pick, np.arange(rows)), grads)",
+                         "np.add.at(picked, (np.full(rows, steps - 1), np.arange(rows)), grads)"),)),
+    "BLEU without its brevity penalty": (
+        "metrics.py", (("bp = 1.0 if c_sum >= r_sum else math.exp(1.0 - r_sum / c_sum)",
+                        "bp = 1.0"),)),
+    "every example trains on its first question": (
+        "model.py", (("b.questions[int(k) % len(b.questions)]", "b.questions[0]"),)),
+    "Monte-Carlo sample t draws from another stream than child(t)": (
+        "rng.py", (("_splitmix64(_splitmix64(range(count)), self.stream)",
+                    "_splitmix64(_splitmix64(range(1, count + 1)), self.stream)"),)),
 }
 
 
