@@ -7,7 +7,9 @@ sentence of the paper or one invariant of the program; MUTANTS names it by
 that sentence. For each mutant (or each one named on the command line),
 HEAD is extracted with `git archive` into a temporary directory, the edit is
 applied there (an edit whose text does not occur exactly once is an error),
-and `pytest -x -m "not slow"` runs in that tree. The mutant is "killed" when
+and `pytest -x -m "not slow"` runs in that tree, without
+`tests/test_mutants.py`: it checks these texts against the unmutated
+sources, so it would fail on every mutant. The mutant is "killed" when
 a test fails, and the first failing test is printed; it "survived" when every
 test passes. Exits 1 if any mutant survived. Each run takes as long as the
 fast tests, about ten seconds to a minute.
@@ -111,7 +113,8 @@ def run(name: str) -> tuple:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         apply(tree, *MUTANTS[name])
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-m", "not slow",
-                               "-p", "no:cacheprovider", "tests"], cwd=tree,
+                               "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py",
+                               "tests"], cwd=tree,
                               env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")},
                               capture_output=True, text=True)
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
